@@ -9,29 +9,26 @@ fact, and provides exact rational closed forms, energy identities, and
 asymptotics for the inverse-power kernels.
 """
 
-from .asymptotics import (AsymptoticRegime, asymptotic_ratio, classify_regime,
-                          dominant_term, gamma_real, zeta_real)
-from .circle_config import (TWO_PI, Arc, Configuration, apply_transport,
+from .asymptotics import asymptotic_ratio, dominant_term, gamma_real, zeta_real
+from .circle_config import (TWO_PI, Configuration, apply_transport,
                             config_from_gaps, config_from_json, config_to_json,
                             coordinate_move, equally_spaced, geodesic_distance,
                             load_config_file, pair_move, reflect, rotate)
-from .energy import (config_energy, energy_equally_spaced, energy_numeric_min,
-                     polarization_via_energy)
-from .errors import (DegenerateArcError, InvalidGapVectorsError,
-                     OrderingBrokenError, PiGradeMismatchError,
+from .energy import config_energy, energy_equally_spaced, polarization_via_energy
+from .errors import (InvalidGapVectorsError, OrderingBrokenError,
                      StepTooLargeError)
-from .exact_series import (ExactPolynomial, PiGradedSeries, RationalSeries,
-                           bernoulli_numbers, exact_polarization_polynomial,
+from .exact_series import (ExactPolynomial, RationalSeries, bernoulli_numbers,
+                           exact_polarization_polynomial,
                            generalized_bernoulli_value, log_sinc_series,
                            sinc_power_coefficients, zeta_even_exact)
 from .kernels import (CheckResult, Kernel, ValidationReport, custom_kernel,
                       log_kernel, power_kernel, riesz_kernel, validate_kernel)
 from .optimizer import (OptimizeOptions, OptimizeResult, RestartRecord,
-                        StrictnessReport, maximize_polarization, nelder_mead,
-                        perturbation_test, project_gaps)
-from .potential import (PolarizationResult, arc_minimum, minimum_on_arc,
-                        polarization, potential_profile, potential_value,
-                        potential_values)
+                        StrictnessReport, energy_numeric_min,
+                        maximize_polarization, nelder_mead, perturbation_test,
+                        project_gaps)
+from .potential import (PolarizationResult, minimum_on_arc, polarization,
+                        potential_profile, potential_values)
 from .transport import (InequalityReport, TransportPlan,
                         check_pair_inequality, homotopy_config, min_curve,
                         solve_gap_system, solve_transport)
@@ -40,11 +37,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TWO_PI",
-    "Arc",
-    "AsymptoticRegime",
     "CheckResult",
     "Configuration",
-    "DegenerateArcError",
     "ExactPolynomial",
     "InequalityReport",
     "InvalidGapVectorsError",
@@ -52,8 +46,6 @@ __all__ = [
     "OptimizeOptions",
     "OptimizeResult",
     "OrderingBrokenError",
-    "PiGradeMismatchError",
-    "PiGradedSeries",
     "PolarizationResult",
     "RationalSeries",
     "RestartRecord",
@@ -62,11 +54,9 @@ __all__ = [
     "TransportPlan",
     "ValidationReport",
     "apply_transport",
-    "arc_minimum",
     "asymptotic_ratio",
     "bernoulli_numbers",
     "check_pair_inequality",
-    "classify_regime",
     "config_energy",
     "config_from_gaps",
     "config_from_json",
@@ -94,7 +84,6 @@ __all__ = [
     "polarization",
     "polarization_via_energy",
     "potential_profile",
-    "potential_value",
     "potential_values",
     "power_kernel",
     "project_gaps",

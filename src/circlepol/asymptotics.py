@@ -10,17 +10,14 @@ of gamma values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Tuple
+from typing import Tuple
 
 __all__ = [
-    "AsymptoticRegime",
     "zeta_real",
     "gamma_real",
-    "classify_regime",
     "dominant_term",
     "asymptotic_ratio",
 ]
@@ -111,26 +108,6 @@ def dominant_term(s: float, n: int) -> float:
                 / (2.0 * math.pi) ** s * float(n) ** s)
     return (2.0 ** (-s) / math.sqrt(math.pi)
             * gamma_real((1.0 - s) / 2.0) / gamma_real(1.0 - s / 2.0) * n)
-
-
-@dataclass(frozen=True)
-class AsymptoticRegime:
-    """Which leading-term formula applies for a given exponent."""
-
-    tag: str  # "s_gt_1" | "s_eq_1" | "s_in_0_1"
-    dominant: Callable[[int], float]
-
-
-def classify_regime(s: float) -> AsymptoticRegime:
-    if s < 0.0:
-        raise ValueError(f"need s >= 0, got {s!r}")
-    if abs(s - 1.0) <= _BOUNDARY_TOL:
-        tag = "s_eq_1"
-    elif s > 1.0:
-        tag = "s_gt_1"
-    else:
-        tag = "s_in_0_1"
-    return AsymptoticRegime(tag=tag, dominant=lambda n: dominant_term(s, n))
 
 
 def asymptotic_ratio(s: float, n: int, kernel_polarization: float) -> float:

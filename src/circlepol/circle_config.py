@@ -22,7 +22,6 @@ from .errors import OrderingBrokenError, StepTooLargeError
 __all__ = [
     "TWO_PI",
     "Configuration",
-    "Arc",
     "equally_spaced",
     "geodesic_distance",
     "rotate",
@@ -115,51 +114,6 @@ def rotate(config: Configuration, phi: float) -> Configuration:
 def reflect(config: Configuration) -> Configuration:
     """Mirror the configuration across the real axis."""
     return Configuration(-a for a in config.angles)
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Closed arc traversed counterclockwise from ``start_angle``.
-
-    ``length`` disambiguates the empty arc from the full circle (both have
-    ``end_angle == start_angle``).
-    """
-
-    start_angle: float
-    end_angle: float
-    length: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.length <= TWO_PI:
-            raise ValueError(f"arc length {self.length} outside [0, 2*pi]")
-        implied = _wrap(self.end_angle - self.start_angle)
-        mismatch = min(abs(implied - self.length % TWO_PI),
-                       abs(implied - self.length % TWO_PI + TWO_PI),
-                       abs(implied - self.length % TWO_PI - TWO_PI))
-        if mismatch > 1e-9:
-            raise ValueError("arc length inconsistent with endpoints")
-
-    @classmethod
-    def from_length(cls, start_angle: float, length: float) -> "Arc":
-        start = _wrap(start_angle)
-        return cls(start, _wrap(start + length), float(length))
-
-    @classmethod
-    def from_gap(cls, config: Configuration, k: int) -> "Arc":
-        n = config.n
-        start = config.angles[k % n]
-        return cls.from_length(start, config.gaps[k % n])
-
-    def point_at(self, t: float) -> float:
-        """Angle at fraction ``t`` in [0, 1] along the arc."""
-        return _wrap(self.start_angle + t * self.length)
-
-    def sample(self, count: int) -> np.ndarray:
-        """``count`` angles uniform on the arc, endpoints included."""
-        if count < 2:
-            raise ValueError("need at least 2 samples")
-        ts = np.linspace(0.0, 1.0, count)
-        return (self.start_angle + ts * self.length) % TWO_PI
 
 
 def pair_move(z1: float, z2: float, eps: float) -> Tuple[float, float]:

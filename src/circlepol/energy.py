@@ -9,18 +9,14 @@ that gives an O(n) cross-check of the arc-search machinery.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
-from .circle_config import TWO_PI, Configuration, config_from_gaps
-from .optimizer import OptimizeOptions, nelder_mead, project_gaps
+from .circle_config import Configuration
 
 __all__ = [
     "energy_equally_spaced",
     "polarization_via_energy",
     "config_energy",
-    "energy_numeric_min",
 ]
 
 
@@ -63,35 +59,3 @@ def config_energy(s: float, config: Configuration) -> float:
         terms = chords ** (-s)
     return float(2.0 * terms.sum())
 
-
-def energy_numeric_min(
-    s: float,
-    n: int,
-    opts: Optional[OptimizeOptions] = None,
-) -> Tuple[Configuration, float]:
-    """Minimize the pairwise energy by direct search over gap vectors.
-
-    Small-n sanity check that equally spaced points minimize the energy;
-    first point pinned at angle 0.  Returns the best configuration found
-    and its energy.
-    """
-    if not 2 <= n <= 12:
-        raise ValueError(f"supported range is 2 <= n <= 12, got {n!r}")
-    opts = opts or OptimizeOptions()
-    rng = np.random.default_rng(opts.seed)
-    equal = np.full(n, TWO_PI / n)
-
-    def objective(x: np.ndarray) -> float:
-        return config_energy(s, config_from_gaps(project_gaps(x)))
-
-    best_gaps = None
-    best_value = np.inf
-    for r in range(opts.restarts):
-        start = equal if r == 0 else rng.dirichlet(np.ones(n)) * TWO_PI
-        x, value, _ = nelder_mead(objective, start, step=0.2 * TWO_PI / n,
-                                  max_iters=opts.max_iters, tol=opts.tol)
-        if value < best_value:
-            best_value = value
-            best_gaps = project_gaps(x)
-    assert best_gaps is not None
-    return config_from_gaps(best_gaps), float(best_value)

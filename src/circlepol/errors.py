@@ -11,11 +11,3 @@ class StepTooLargeError(ValueError):
 
 class InvalidGapVectorsError(ValueError):
     """Gap difference vector is not balanced (components must sum to zero)."""
-
-
-class DegenerateArcError(ValueError):
-    """Requested a minimum over an arc of zero length."""
-
-
-class PiGradeMismatchError(ArithmeticError):
-    """Internal bookkeeping of pi powers failed to cancel in an exact formula."""

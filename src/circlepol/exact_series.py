@@ -2,9 +2,9 @@
 and the closed-form even-power polarization polynomials.
 
 Everything here is computed over ``fractions.Fraction``; floats are refused
-so the exactness boundary stays explicit.  Power-of-pi bookkeeping is done
-structurally (each coefficient carries an even "pi grade") so that the
-cancellation producing pure-rational polynomials is checked, not assumed.
+so the exactness boundary stays explicit.  Powers of pi are kept out of the
+coefficients: coefficient ``j`` of a series in z**2 stands for a rational
+times pi**(2j), so the pure-rational polynomials come out by construction.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import List, Sequence, Tuple, Union
 
-from .errors import PiGradeMismatchError
-
 __all__ = [
     "RationalSeries",
-    "PiGradedSeries",
     "ExactPolynomial",
     "bernoulli_numbers",
     "zeta_even_exact",
@@ -138,18 +135,6 @@ class RationalSeries:
         return self.log().scale(_as_fraction(exponent)).exp()
 
 
-class PiGradedSeries(RationalSeries):
-    """Series in which coefficient ``j`` carries an implicit factor pi**(2j).
-
-    Index-additive operations (sums, products, exp/log/pow, scalar multiples)
-    all preserve the grading, so the class only marks intent; the grade of
-    coefficient ``j`` is ``2*j``.
-    """
-
-    def grade_of(self, j: int) -> int:
-        return 2 * j
-
-
 @lru_cache(maxsize=None)
 def _bernoulli(upto: int) -> Tuple[Fraction, ...]:
     values = [Fraction(1)]
@@ -174,16 +159,17 @@ def zeta_even_exact(k: int) -> Fraction:
     return Fraction((-1) ** (k + 1)) * b * 2 ** (2 * k - 1) / factorial(2 * k)
 
 
-def log_sinc_series(order: int) -> PiGradedSeries:
-    """log((sin pi z)/(pi z)) as a graded series in z**2.
+def log_sinc_series(order: int) -> RationalSeries:
+    """log((sin pi z)/(pi z)) as a series in z**2.
 
-    Coefficient ``k`` is the rational part of -zeta(2k)/k at grade 2k.
+    Coefficient ``k`` is the rational part of -zeta(2k)/k, whose full value
+    carries a factor pi**(2k).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     coeffs = [Fraction(0)]
     coeffs += [-zeta_even_exact(k) / k for k in range(1, order + 1)]
-    return PiGradedSeries(coeffs, order=order)
+    return RationalSeries(coeffs, order=order)
 
 
 def sinc_power_coefficients(
@@ -256,9 +242,9 @@ def exact_polarization_polynomial(m: int) -> ExactPolynomial:
 
     For the inverse-chord kernel with exponent ``2m`` the minimum of the
     potential is a polynomial in n with rational coefficients; the powers of
-    pi contributed by the even zeta values and the sinc-power coefficients
-    cancel against the ``(2 pi)**(2m)`` denominator.  That cancellation is
-    verified grade-by-grade.
+    pi contributed by the even zeta values (pi**(2k)) and the sinc-power
+    coefficients (pi**(2m - 2k)) cancel against the ``(2 pi)**(2m)``
+    denominator.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -266,11 +252,7 @@ def exact_polarization_polynomial(m: int) -> ExactPolynomial:
     terms = []
     for k in range(1, m + 1):
         q = zeta_even_exact(k)
-        rational, grade = alphas[m - k]
-        if 2 * k + grade != 2 * m:
-            raise PiGradeMismatchError(
-                f"pi-grade-mismatch: term k={k} carries pi-grade "
-                f"{2 * k + grade}, expected {2 * m}")
+        rational, _ = alphas[m - k]
         coeff = 2 * q * rational * (2 ** (2 * k) - 1) / Fraction(4 ** m)
         terms.append((2 * k, coeff))
     return ExactPolynomial(tuple(terms))

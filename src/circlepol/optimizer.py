@@ -1,4 +1,5 @@
-"""Derivative-free maximization of the polarization over n-point configurations.
+"""Derivative-free search over n-point configurations: maximal polarization
+and, as a small-n sanity check, minimal pairwise energy.
 
 The search space is the simplex of gap vectors (n nonnegative reals summing
 to 2*pi) with the rotation gauge fixed by putting the first point at angle 0.
@@ -16,6 +17,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .circle_config import TWO_PI, Configuration, config_from_gaps, equally_spaced
+from .energy import config_energy
 from .kernels import Kernel
 from .potential import polarization
 
@@ -27,6 +29,7 @@ __all__ = [
     "nelder_mead",
     "project_gaps",
     "maximize_polarization",
+    "energy_numeric_min",
     "perturbation_test",
 ]
 
@@ -152,6 +155,36 @@ def nelder_mead(
     return simplex[best].copy(), float(values[best]), iters
 
 
+def _restarted_search(
+    objective: Callable[[np.ndarray], float],
+    n: int,
+    opts: OptimizeOptions,
+) -> Tuple[np.ndarray, float, list]:
+    """Minimize ``objective`` over gap vectors by restarted Nelder-Mead.
+
+    Restart 0 always starts from equal gaps; the remaining starts are drawn
+    from a symmetric Dirichlet on the gap simplex with the seeded generator.
+    Returns the projected gaps of the lowest final value (ties go to the
+    earlier restart), that value, and ``(start, value, iterations)`` for
+    every restart.
+    """
+    rng = np.random.default_rng(opts.seed)
+    equal = np.full(n, TWO_PI / n)
+    runs = []
+    best_gaps: Optional[np.ndarray] = None
+    best_value = np.inf
+    for r in range(opts.restarts):
+        start = equal if r == 0 else rng.dirichlet(np.ones(n)) * TWO_PI
+        x, value, iters = nelder_mead(objective, start, step=0.2 * TWO_PI / n,
+                                      max_iters=opts.max_iters, tol=opts.tol)
+        runs.append((start, value, iters))
+        if value < best_value:
+            best_value = value
+            best_gaps = project_gaps(x)
+    assert best_gaps is not None
+    return best_gaps, float(best_value), runs
+
+
 def maximize_polarization(
     kernel: Kernel,
     n: int,
@@ -159,47 +192,50 @@ def maximize_polarization(
 ) -> OptimizeResult:
     """Best polarization over n-point configurations found by restarted search.
 
-    Restart 0 always starts from equal gaps; the remaining starts are drawn
-    from a symmetric Dirichlet on the gap simplex with the seeded generator.
     Deterministic for fixed inputs; ties go to the earlier restart.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n!r}")
     opts = opts or OptimizeOptions()
-    rng = np.random.default_rng(opts.seed)
-    equal = np.full(n, TWO_PI / n)
 
     def objective(x: np.ndarray) -> float:
         return -polarization(kernel, config_from_gaps(project_gaps(x))).value
 
-    records = []
-    best_gaps: Optional[np.ndarray] = None
-    best_value = -np.inf
-    for r in range(opts.restarts):
-        start = equal if r == 0 else rng.dirichlet(np.ones(n)) * TWO_PI
-        if n == 1:
-            value = polarization(kernel, equally_spaced(1)).value
-            final_gaps, iters = start, 0
-        else:
-            x, f, iters = nelder_mead(objective, start, step=0.2 * TWO_PI / n,
-                                      max_iters=opts.max_iters, tol=opts.tol)
-            final_gaps, value = project_gaps(x), -f
-        records.append(RestartRecord(
-            start_gaps=tuple(float(g) for g in start),
-            value=float(value), iterations=iters))
-        if value > best_value:
-            best_value = float(value)
-            best_gaps = final_gaps
-    assert best_gaps is not None
+    best_gaps, best_f, runs = _restarted_search(objective, n, opts)
     best_config = config_from_gaps(best_gaps)
     deviation = max(abs(g - TWO_PI / n) for g in best_config.gaps)
     return OptimizeResult(
         best_config=best_config,
-        best_value=best_value,
-        per_restart=tuple(records),
+        best_value=-best_f,
+        per_restart=tuple(
+            RestartRecord(start_gaps=tuple(float(g) for g in start),
+                          value=float(-f), iterations=iters)
+            for start, f, iters in runs),
         converged_to_equal_spacing=bool(deviation < 1e-6),
         seed=opts.seed,
     )
+
+
+def energy_numeric_min(
+    s: float,
+    n: int,
+    opts: Optional[OptimizeOptions] = None,
+) -> Tuple[Configuration, float]:
+    """Minimize the pairwise energy by direct search over gap vectors.
+
+    Small-n sanity check that equally spaced points minimize the energy;
+    first point pinned at angle 0.  Returns the best configuration found
+    and its energy.
+    """
+    if not 2 <= n <= 12:
+        raise ValueError(f"supported range is 2 <= n <= 12, got {n!r}")
+
+    def objective(x: np.ndarray) -> float:
+        return config_energy(s, config_from_gaps(project_gaps(x)))
+
+    best_gaps, best_value, _ = _restarted_search(
+        objective, n, opts or OptimizeOptions())
+    return config_from_gaps(best_gaps), best_value
 
 
 @dataclass(frozen=True)

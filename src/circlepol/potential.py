@@ -12,22 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .circle_config import TWO_PI, Configuration
-from .errors import DegenerateArcError
 from .kernels import Kernel
 
 __all__ = [
     "WITNESS_TOL",
-    "DEFAULT_SAMPLES",
-    "DEFAULT_REFINE_ITERS",
     "PolarizationResult",
-    "potential_value",
     "potential_values",
-    "arc_minimum",
     "minimum_on_arc",
     "polarization",
     "potential_profile",
@@ -36,8 +31,13 @@ __all__ = [
 # two minima within this absolute tolerance of the best are all reported
 WITNESS_TOL = 1e-9
 
-DEFAULT_SAMPLES = 64
-DEFAULT_REFINE_ITERS = 200
+# plus this many units of rounding per node, relative to the best value:
+# congruent arcs of an n-term sum differ by a few n * eps * |value|
+_WITNESS_ROUNDING = 32 * np.finfo(float).eps
+
+# coarse samples per arc, and the cap on golden-section steps after them
+_SAMPLES = 64
+_REFINE_ITERS = 200
 
 # stop refining a bracket once it is this short
 _BRACKET_TOL = 1e-12
@@ -59,10 +59,6 @@ def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     return _potential_at(kernel, config.angle_array, z)
-
-
-def potential_value(kernel: Kernel, config: Configuration, z: float) -> float:
-    return float(potential_values(kernel, config, [z])[0])
 
 
 def _potential_at(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -88,8 +84,9 @@ class PolarizationResult:
     """Minimum of the potential over the circle, with where it is attained.
 
     ``witnesses`` lists every refined per-gap minimizer whose value is within
-    ``WITNESS_TOL`` of the best, sorted by angle.  ``per_arc_minima`` records
-    ``(gap_index, angle, value)`` for each nondegenerate gap.
+    ``WITNESS_TOL`` plus the rounding of an n-term sum of the best, sorted by
+    angle.  ``per_arc_minima`` records ``(gap_index, angle, value)`` for
+    each nondegenerate gap.
     """
 
     value: float
@@ -102,19 +99,18 @@ def _minimize_on_arcs(
     nodes: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
-    samples: int,
-    refine_iters: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the potential on each arc ``[starts, starts + lengths]``.
 
     All arcs advance in lockstep: one coarse sampling pass, then
     golden-section steps applied to every bracket at once.  Returns the
     minimizing angles (wrapped to [0, 2*pi)) and the minimum values.
+    Raises ``ValueError`` when the kernel yields NaN at any evaluated point.
     """
     offset = lengths * (_ENDPOINT_OFFSET if kernel.singular else 0.0)
     lo = starts + offset
     span = lengths - 2.0 * offset
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, _SAMPLES)
     grid = lo[:, None] + span[:, None] * ts[None, :]
     values = _potential_at(kernel, nodes, grid)
     rows = np.arange(starts.size)
@@ -124,25 +120,30 @@ def _minimize_on_arcs(
 
     # bracket the coarse minimum by its neighbours and refine
     a = grid[rows, np.maximum(best - 1, 0)]
-    b = grid[rows, np.minimum(best + 1, samples - 1)]
+    b = grid[rows, np.minimum(best + 1, _SAMPLES - 1)]
     h = b - a
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc = _potential_at(kernel, nodes, c)
     fd = _potential_at(kernel, nodes, d)
-    for _ in range(refine_iters):
+    # the comparisons below silently drop a NaN probe; np.minimum keeps it
+    probed = np.minimum(fc, fd)
+    for _ in range(_REFINE_ITERS):
         if h.max() <= _BRACKET_TOL:
             break
         keep_left = fc < fd
         a = np.where(keep_left, a, c)
         b = np.where(keep_left, d, b)
         h = b - a
-        new_x = np.where(keep_left, a + _INVPHI2 * h, a + _INVPHI * h)
+        new_x = a + np.where(keep_left, _INVPHI2, _INVPHI) * h
         new_f = _potential_at(kernel, nodes, new_x)
+        np.minimum(probed, new_f, out=probed)
         c, d = (np.where(keep_left, new_x, d),
                 np.where(keep_left, c, new_x))
         fc, fd = (np.where(keep_left, new_f, fd),
                   np.where(keep_left, fc, new_f))
+    if np.isnan(values).any() or np.isnan(probed).any():
+        raise ValueError("kernel returned NaN inside an arc")
     refined_x = np.where(fc < fd, c, d)
     refined_v = np.minimum(fc, fd)
     take = refined_v < best_v
@@ -151,71 +152,36 @@ def _minimize_on_arcs(
     return best_x % TWO_PI, best_v
 
 
-def arc_minimum(
-    kernel: Kernel,
-    config: Configuration,
-    arc_index: int,
-    samples: int = DEFAULT_SAMPLES,
-    refine_iters: int = DEFAULT_REFINE_ITERS,
-) -> Tuple[float, float]:
-    """Minimize the potential over the gap with index ``arc_index``.
-
-    Returns ``(angle, value)``.  Raises :class:`DegenerateArcError` when the
-    gap has zero length.
-    """
-    n = config.n
-    if not 0 <= arc_index < n:
-        raise IndexError(f"gap index {arc_index} out of range for n={n}")
-    length = config.gaps[arc_index]
-    if length <= 0.0:
-        raise DegenerateArcError(
-            f"degenerate-arc: gap {arc_index} has zero length")
-    return minimum_on_arc(kernel, config, config.angles[arc_index], length,
-                          samples, refine_iters)
-
-
 def minimum_on_arc(
     kernel: Kernel,
     config: Configuration,
     start: float,
     length: float,
-    samples: int = DEFAULT_SAMPLES,
-    refine_iters: int = DEFAULT_REFINE_ITERS,
 ) -> Tuple[float, float]:
     """Minimize the potential over the arc from ``start`` spanning ``length``.
 
-    Same engine as :func:`arc_minimum`, for arcs given directly rather than
-    by gap index.  A zero-length arc evaluates the single point.
+    Returns ``(angle, value)``; gap ``k`` of ``config`` is the arc from
+    ``config.angles[k]`` spanning ``config.gaps[k]``.  A zero-length arc
+    evaluates the single point.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
     if length == 0.0:
-        return float(start), potential_value(kernel, config, start)
+        return float(start), float(potential_values(kernel, config, start)[0])
     xs, vs = _minimize_on_arcs(
         kernel,
         config.angle_array,
         np.array([float(start)]),
         np.array([float(length)]),
-        samples,
-        refine_iters,
     )
     return float(xs[0]), float(vs[0])
 
 
-def polarization(
-    kernel: Kernel,
-    config: Configuration,
-    samples: int = DEFAULT_SAMPLES,
-    refine_iters: int = DEFAULT_REFINE_ITERS,
-) -> PolarizationResult:
+def polarization(kernel: Kernel, config: Configuration) -> PolarizationResult:
     """Global minimum of the potential over the whole circle.
 
     Zero-length gaps contribute no candidates (their endpoints lie on the
     closure of the neighbouring gaps), so coincident points are handled
     naturally.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
     nodes = config.angle_array
     gaps = np.asarray(config.gaps)
     live = np.nonzero(gaps > 0.0)[0]
@@ -223,18 +189,17 @@ def polarization(
     lengths = gaps[live]
 
     per_arc = []
-    chunk = max(1, _CHUNK_BUDGET // (samples * max(1, config.n)))
+    chunk = max(1, _CHUNK_BUDGET // (_SAMPLES * max(1, config.n)))
     for i in range(0, live.size, chunk):
         xs, vs = _minimize_on_arcs(
-            kernel, nodes, starts[i:i + chunk], lengths[i:i + chunk],
-            samples, refine_iters)
+            kernel, nodes, starts[i:i + chunk], lengths[i:i + chunk])
         per_arc.extend(
             (int(live[i + j]), float(xs[j]), float(vs[j]))
             for j in range(xs.size))
 
     value = min(v for _, _, v in per_arc)
-    witnesses = tuple(sorted(
-        x for _, x, v in per_arc if v - value <= WITNESS_TOL))
+    tol = WITNESS_TOL + _WITNESS_ROUNDING * config.n * abs(value)
+    witnesses = tuple(sorted(x for _, x, v in per_arc if v - value <= tol))
     return PolarizationResult(value=value, witnesses=witnesses,
                               per_arc_minima=tuple(per_arc))
 

@@ -21,8 +21,7 @@ import numpy as np
 from .circle_config import TWO_PI, Configuration, _wrap
 from .errors import InvalidGapVectorsError
 from .kernels import Kernel
-from .potential import (DEFAULT_REFINE_ITERS, DEFAULT_SAMPLES, minimum_on_arc,
-                        potential_values)
+from .potential import minimum_on_arc, potential_values
 
 __all__ = [
     "TransportPlan",
@@ -145,8 +144,6 @@ def min_curve(
     source: Configuration,
     plan: TransportPlan,
     grid: int,
-    samples: int = DEFAULT_SAMPLES,
-    refine_iters: int = DEFAULT_REFINE_ITERS,
 ) -> np.ndarray:
     """Minimum of the potential over the tracked arc along the homotopy.
 
@@ -163,8 +160,7 @@ def min_curve(
     for i, t in enumerate(np.linspace(0.0, 1.0, grid)):
         config_t = homotopy_config(source, plan, t)
         length_t = (1.0 - t) * plan.source_gaps[j] + t * plan.target_gaps[j]
-        _, value = minimum_on_arc(kernel, config_t, anchor, length_t,
-                                  samples, refine_iters)
+        _, value = minimum_on_arc(kernel, config_t, anchor, length_t)
         rows[i] = (t, value)
     return rows
 

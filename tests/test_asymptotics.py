@@ -9,7 +9,6 @@ import pytest
 
 from circlepol.asymptotics import (
     asymptotic_ratio,
-    classify_regime,
     dominant_term,
     gamma_real,
     zeta_real,
@@ -128,7 +127,7 @@ def test_gamma_real_rejects_nonpositive(x):
 
 
 # ---------------------------------------------------------------------------
-# dominant_term / classify_regime
+# dominant_term
 # ---------------------------------------------------------------------------
 
 
@@ -176,24 +175,14 @@ def test_dominant_term_rejects_bad_arguments():
         dominant_term(2.0, 0)
 
 
-def test_classify_regime_tags():
-    assert classify_regime(2.0).tag == "s_gt_1"
-    assert classify_regime(1.0).tag == "s_eq_1"
-    assert classify_regime(0.5).tag == "s_in_0_1"
-    assert classify_regime(0.0).tag == "s_in_0_1"
-
-
 def test_classify_regime_boundary_tolerance():
-    assert classify_regime(1.0 + 1e-15).tag == "s_eq_1"
-    assert classify_regime(1.0 - 1e-15).tag == "s_eq_1"
-    assert classify_regime(1.0 + 1e-13).tag == "s_gt_1"
-    assert classify_regime(1.0 - 1e-13).tag == "s_in_0_1"
-
-
-def test_classify_regime_dominant_callable_agrees():
-    regime = classify_regime(3.0)
-    for n in (2, 9, 30):
-        assert regime.dominant(n) == dominant_term(3.0, n)
+    # within 1e-14 of s = 1 the logarithmic term applies; 1e-13 away it does not
+    n = 10
+    log_term = n * math.log(n) / math.pi
+    for s in (1.0 + 1e-15, 1.0 - 1e-15):
+        assert dominant_term(s, n) == log_term
+    for s in (1.0 + 1e-13, 1.0 - 1e-13):
+        assert dominant_term(s, n) != log_term
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (TWO_PI, Arc, Configuration, OrderingBrokenError,
+from circlepol import (TWO_PI, Configuration, OrderingBrokenError,
                        StepTooLargeError, apply_transport, config_from_gaps,
                        config_from_json, config_to_json, coordinate_move,
                        equally_spaced, geodesic_distance, load_config_file,
@@ -177,21 +177,6 @@ def test_config_from_gaps_validation():
         config_from_gaps([1.0, 2.0])  # does not sum to 2*pi
     with pytest.raises(ValueError):
         config_from_gaps([-0.5, TWO_PI + 0.5])
-
-
-def test_arc_helpers():
-    c = equally_spaced(4)
-    arc = Arc.from_gap(c, 0)
-    assert arc.start_angle == pytest.approx(0.0)
-    assert arc.length == pytest.approx(TWO_PI / 4)
-    assert arc.point_at(0.5) == pytest.approx(TWO_PI / 8)
-    samples = arc.sample(5)
-    assert samples[0] == pytest.approx(0.0)
-    assert samples[-1] == pytest.approx(TWO_PI / 4)
-    with pytest.raises(ValueError):
-        Arc(0.0, 1.0, 2.0)  # length inconsistent with endpoints
-    with pytest.raises(ValueError):
-        arc.sample(1)
 
 
 def test_json_round_trip():

@@ -11,10 +11,10 @@ from circlepol.circle_config import TWO_PI, Configuration, equally_spaced
 from circlepol.energy import (
     config_energy,
     energy_equally_spaced,
-    energy_numeric_min,
     polarization_via_energy,
 )
 from circlepol.kernels import riesz_kernel
+from circlepol.optimizer import energy_numeric_min
 from circlepol.potential import polarization
 
 from helpers import sup_gap_deviation

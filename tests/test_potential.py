@@ -6,23 +6,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (TWO_PI, Configuration, DegenerateArcError,
-                       arc_minimum, equally_spaced, log_kernel, polarization,
-                       potential_profile, potential_value, potential_values,
-                       power_kernel, riesz_kernel, rotate)
+from circlepol import (TWO_PI, Configuration, custom_kernel, equally_spaced,
+                       log_kernel, minimum_on_arc, polarization,
+                       potential_profile, potential_values, power_kernel,
+                       riesz_kernel, rotate)
 from helpers import dense_scan_minimum, random_config
 
 
 def test_two_point_hand_value():
     # antipodal pair, midpoint: both chords are sqrt(2)
     c = equally_spaced(2)
-    assert potential_value(riesz_kernel(2), c, math.pi / 2) == pytest.approx(1.0)
+    assert potential_values(riesz_kernel(2), c, math.pi / 2)[0] == pytest.approx(1.0)
 
 
 def test_potential_inf_at_node_for_singular_kernel():
     c = Configuration([0.0])
-    assert potential_value(riesz_kernel(2), c, 0.0) == math.inf
-    assert potential_value(power_kernel(0.5), c, 0.0) == 0.0
+    assert potential_values(riesz_kernel(2), c, 0.0)[0] == math.inf
+    assert potential_values(power_kernel(0.5), c, 0.0)[0] == 0.0
 
 
 def test_log_potential_matches_product_identity():
@@ -33,7 +33,7 @@ def test_log_potential_matches_product_identity():
         c = equally_spaced(n)
         for theta in rng.uniform(0.2, 0.8, 3) * (TWO_PI / n):
             want = -math.log(abs(np.exp(1j * theta * n) - 1.0))
-            assert potential_value(k, c, theta) == pytest.approx(want, rel=1e-11)
+            assert potential_values(k, c, theta)[0] == pytest.approx(want, rel=1e-11)
 
 
 def test_potential_values_matches_scalar_loop():
@@ -42,7 +42,7 @@ def test_potential_values_matches_scalar_loop():
     k = riesz_kernel(1.5)
     zs = rng.uniform(0, TWO_PI, 40)
     batch = potential_values(k, c, zs)
-    single = [potential_value(k, c, z) for z in zs]
+    single = [potential_values(k, c, z)[0] for z in zs]
     assert_allclose(batch, single, rtol=1e-15)
 
 
@@ -51,37 +51,29 @@ def test_coincident_points_count_with_multiplicity():
     k = riesz_kernel(2)
     z = 2.5
     want = 2 * k(abs(z - 1.0)) + k(abs(z - 4.0) % TWO_PI)
-    assert potential_value(k, c, z) == pytest.approx(want, rel=1e-14)
+    assert potential_values(k, c, z)[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_arc_minimum_symmetric_cases():
-    x, v = arc_minimum(riesz_kernel(2), equally_spaced(2), 0)
+    c = equally_spaced(2)
+    x, v = minimum_on_arc(riesz_kernel(2), c, c.angles[0], c.gaps[0])
     assert x == pytest.approx(math.pi / 2, abs=1e-6)
     assert v == pytest.approx(1.0, rel=1e-12)
 
-    x, _ = arc_minimum(riesz_kernel(2), equally_spaced(4), 0)
+    c = equally_spaced(4)
+    x, _ = minimum_on_arc(riesz_kernel(2), c, c.angles[0], c.gaps[0])
     assert x == pytest.approx(math.pi / 4, abs=1e-6)
 
 
 def test_arc_minimum_matches_dense_scan():
     c = Configuration([0.0, math.pi / 2])
     k = riesz_kernel(3)
-    x, v = arc_minimum(k, c, 1)  # the long arc from pi/2 back to 0
+    x, v = minimum_on_arc(k, c, c.angles[1], c.gaps[1])  # pi/2 back to 0
     zs = math.pi / 2 + (TWO_PI - math.pi / 2) * np.arange(1, 10 ** 6) / 10 ** 6
     vals = potential_values(k, c, zs)
     i = int(np.argmin(vals))
     assert v == pytest.approx(float(vals[i]), abs=1e-10)
     assert x == pytest.approx(float(zs[i]), abs=1e-5)
-
-
-def test_arc_minimum_validation():
-    c = Configuration([1.0, 1.0, 4.0])
-    with pytest.raises(DegenerateArcError):
-        arc_minimum(riesz_kernel(2), c, 0)
-    with pytest.raises(IndexError):
-        arc_minimum(riesz_kernel(2), c, 3)
-    with pytest.raises(ValueError):
-        arc_minimum(riesz_kernel(2), equally_spaced(3), 0, samples=2)
 
 
 def test_polarization_equally_spaced_known_values():
@@ -104,6 +96,36 @@ def test_polarization_equally_spaced_per_arc_values_agree():
     assert len(r.witnesses) == 5  # every gap midpoint ties
 
 
+@pytest.mark.parametrize("s", [2, 4, 6])
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_polarization_equally_spaced_witnesses_every_midpoint(s, n):
+    # congruent gaps differ only by rounding in the n-term sums
+    r = polarization(riesz_kernel(s), equally_spaced(n))
+    midpoints = (np.arange(n) + 0.5) * (TWO_PI / n)
+    assert len(r.witnesses) == n
+    assert_allclose(r.witnesses, midpoints, rtol=0.0, atol=1e-6)
+
+
+def test_nan_kernel_raises():
+    k = custom_kernel(lambda t: np.where(t > 1, np.nan, 1 / t), math.inf)
+    c = equally_spaced(4)
+    with pytest.raises(ValueError, match="NaN"):
+        polarization(k, c)
+    with pytest.raises(ValueError, match="NaN"):
+        minimum_on_arc(k, c, c.angles[0], c.gaps[0])
+
+
+def test_nan_met_only_by_refinement_raises():
+    # NaN near distance pi/2 only: the coarse grid of the gap [0, pi] misses
+    # it, and golden-section steps toward the minimum at pi/2 land in it
+    def fn(t):
+        return np.where(np.abs(t - math.pi / 2) < 1e-4, np.nan,
+                        (2.0 * np.sin(t / 2.0)) ** -2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        minimum_on_arc(custom_kernel(fn, math.inf), equally_spaced(2),
+                       0.0, math.pi)
+
+
 def test_polarization_value_is_min_of_per_arc():
     rng = np.random.default_rng(12)
     k = riesz_kernel(2)
@@ -111,7 +133,7 @@ def test_polarization_value_is_min_of_per_arc():
     r = polarization(k, c)
     assert r.value == min(v for _, _, v in r.per_arc_minima)
     for w in r.witnesses:
-        assert abs(potential_value(k, c, w) - r.value) <= 1e-9
+        assert abs(potential_values(k, c, w)[0] - r.value) <= 1e-9
 
 
 def test_all_coincident_points_use_full_circle_arc():
