@@ -9,14 +9,13 @@ fact, and provides exact rational closed forms, energy identities, and
 asymptotics for the inverse-power kernels.
 """
 
-from .asymptotics import asymptotic_ratio, dominant_term, gamma_real, zeta_real
-from .circle_config import (TWO_PI, Configuration, apply_transport,
-                            config_from_gaps, config_from_json, config_to_json,
-                            coordinate_move, equally_spaced, geodesic_distance,
-                            load_config_file, pair_move, reflect, rotate)
+from .asymptotics import asymptotic_ratio, dominant_term, zeta_real
+from .circle_config import (TWO_PI, Configuration, config_from_gaps,
+                            config_from_json, config_to_json, equally_spaced,
+                            geodesic_distance, load_config_file, reflect,
+                            rotate)
 from .energy import config_energy, energy_equally_spaced, polarization_via_energy
-from .errors import (InvalidGapVectorsError, OrderingBrokenError,
-                     StepTooLargeError)
+from .errors import InvalidGapVectorsError
 from .exact_series import (ExactPolynomial, RationalSeries, bernoulli_numbers,
                            exact_polarization_polynomial,
                            generalized_bernoulli_value, log_sinc_series,
@@ -24,9 +23,8 @@ from .exact_series import (ExactPolynomial, RationalSeries, bernoulli_numbers,
 from .kernels import (CheckResult, Kernel, ValidationReport, custom_kernel,
                       log_kernel, power_kernel, riesz_kernel, validate_kernel)
 from .optimizer import (OptimizeOptions, OptimizeResult, RestartRecord,
-                        StrictnessReport, energy_numeric_min,
-                        maximize_polarization, nelder_mead, perturbation_test,
-                        project_gaps)
+                        StrictnessReport, maximize_polarization,
+                        perturbation_test, project_gaps)
 from .potential import (PolarizationResult, minimum_on_arc, polarization,
                         potential_profile, potential_values)
 from .transport import (InequalityReport, TransportPlan,
@@ -45,15 +43,12 @@ __all__ = [
     "Kernel",
     "OptimizeOptions",
     "OptimizeResult",
-    "OrderingBrokenError",
     "PolarizationResult",
     "RationalSeries",
     "RestartRecord",
-    "StepTooLargeError",
     "StrictnessReport",
     "TransportPlan",
     "ValidationReport",
-    "apply_transport",
     "asymptotic_ratio",
     "bernoulli_numbers",
     "check_pair_inequality",
@@ -61,14 +56,11 @@ __all__ = [
     "config_from_gaps",
     "config_from_json",
     "config_to_json",
-    "coordinate_move",
     "custom_kernel",
     "dominant_term",
     "energy_equally_spaced",
-    "energy_numeric_min",
     "equally_spaced",
     "exact_polarization_polynomial",
-    "gamma_real",
     "generalized_bernoulli_value",
     "geodesic_distance",
     "homotopy_config",
@@ -78,8 +70,6 @@ __all__ = [
     "maximize_polarization",
     "min_curve",
     "minimum_on_arc",
-    "nelder_mead",
-    "pair_move",
     "perturbation_test",
     "polarization",
     "polarization_via_energy",

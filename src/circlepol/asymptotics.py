@@ -1,4 +1,4 @@
-"""Numeric zeta/gamma and the three-regime leading term of the polarization
+"""Numeric zeta and the three-regime leading term of the polarization
 of n equally spaced points as n grows.
 
 The leading term switches regime at the integrability threshold of the
@@ -17,7 +17,6 @@ from typing import Tuple
 
 __all__ = [
     "zeta_real",
-    "gamma_real",
     "dominant_term",
     "asymptotic_ratio",
 ]
@@ -63,33 +62,6 @@ def zeta_real(s: float, terms: int = DEFAULT_ZETA_TERMS) -> float:
     return -total / (d_last * eta_factor)
 
 
-# Rational-approximation constants for gamma on the positive axis (g = 7).
-_GAMMA_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def gamma_real(x: float) -> float:
-    """Gamma function for real x > 0 (no reflection; positive domain only)."""
-    if not x > 0.0:
-        raise ValueError(f"gamma_real needs x > 0, got {x!r}")
-    z = x - 1.0
-    series = _GAMMA_COEFFS[0]
-    for i in range(1, len(_GAMMA_COEFFS)):
-        series += _GAMMA_COEFFS[i] / (z + i)
-    t = z + 7.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * series
-
-
 def dominant_term(s: float, n: int) -> float:
     """Leading term of the n-point polarization for the power kernel exponent s.
 
@@ -107,7 +79,7 @@ def dominant_term(s: float, n: int) -> float:
         return (2.0 * zeta_real(s) * (2.0 ** s - 1.0)
                 / (2.0 * math.pi) ** s * float(n) ** s)
     return (2.0 ** (-s) / math.sqrt(math.pi)
-            * gamma_real((1.0 - s) / 2.0) / gamma_real(1.0 - s / 2.0) * n)
+            * math.gamma((1.0 - s) / 2.0) / math.gamma(1.0 - s / 2.0) * n)
 
 
 def asymptotic_ratio(s: float, n: int, kernel_polarization: float) -> float:

@@ -2,9 +2,9 @@
 
 Configurations are immutable lists of angles in ``[0, 2*pi)``, sorted so the
 points run counterclockwise; indexing is cyclic.  The module provides the
-gap vector between consecutive points, separation, geodesic distance, and
-the point-moving operators (single pair moves, cyclic coordinate moves, and
-their composition into a gap transport).
+gap vector between consecutive points, separation, geodesic distance,
+rotation and reflection, construction from a gap vector, and JSON and
+line-file I/O.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import OrderingBrokenError, StepTooLargeError
-
 __all__ = [
     "TWO_PI",
     "Configuration",
@@ -26,9 +24,6 @@ __all__ = [
     "geodesic_distance",
     "rotate",
     "reflect",
-    "pair_move",
-    "coordinate_move",
-    "apply_transport",
     "config_from_gaps",
     "config_to_json",
     "config_from_json",
@@ -114,79 +109,6 @@ def rotate(config: Configuration, phi: float) -> Configuration:
 def reflect(config: Configuration) -> Configuration:
     """Mirror the configuration across the real axis."""
     return Configuration(-a for a in config.angles)
-
-
-def pair_move(z1: float, z2: float, eps: float) -> Tuple[float, float]:
-    """Spread a pair apart: rotate ``z1`` clockwise and ``z2`` counterclockwise by ``eps``.
-
-    ``eps`` must stay below half the length of the complementary arc from
-    ``z2`` counterclockwise to ``z1`` (the full circle when the points
-    coincide), so the moved points do not cross.
-    """
-    z1, z2 = _wrap(z1), _wrap(z2)
-    complement = _wrap(z1 - z2)
-    if complement == 0.0:  # coincident pair: complement is the whole circle
-        complement = TWO_PI
-    if not 0.0 < eps < complement / 2.0:
-        raise ValueError(
-            f"eps must lie in (0, {complement / 2.0!r}), got {eps!r}")
-    return _wrap(z1 - eps), _wrap(z2 + eps)
-
-
-def _gap_change(deltas: np.ndarray) -> np.ndarray:
-    # effect of the composed coordinate moves on the gap vector
-    return -np.roll(deltas, 1) + 2.0 * deltas - np.roll(deltas, -1)
-
-
-def _net_rotation(deltas: np.ndarray) -> np.ndarray:
-    # point k is rotated counterclockwise by deltas[k-1] - deltas[k]
-    return np.roll(deltas, 1) - deltas
-
-
-def coordinate_move(config: Configuration, k: int, delta: float) -> Configuration:
-    """Rotate point ``k`` clockwise by ``delta`` and point ``k+1`` counterclockwise.
-
-    Indices are 0-based and refer to the ordering of the *input*
-    configuration.  The move must preserve counterclockwise ordering;
-    otherwise :class:`OrderingBrokenError` is raised (never repaired by
-    re-sorting).
-    """
-    n = config.n
-    if not 0 <= k < n:
-        raise IndexError(f"point index {k} out of range for n={n}")
-    deltas = np.zeros(n)
-    deltas[k] = delta
-    new_gaps = np.asarray(config.gaps) + _gap_change(deltas)
-    if (new_gaps < -ANGLE_TOL).any():
-        raise OrderingBrokenError(
-            f"ordering-broken: moving point {k} by {delta!r} makes a gap negative")
-    return Configuration(config.angle_array + _net_rotation(deltas))
-
-
-def apply_transport(config: Configuration, deltas: Sequence[float]) -> Configuration:
-    """Apply the full cycle of coordinate moves given by ``deltas``.
-
-    The net effect rotates point ``k`` by ``deltas[k-1] - deltas[k]``
-    (cyclically), so the gap vector changes by the circulant second
-    difference of ``deltas``.  Steps are admitted when either
-    ``max |delta| <= separation/4``, or all deltas are nonnegative and
-    ``max delta <= separation/2``; both bounds keep every intermediate
-    stage counterclockwise.
-    """
-    d = np.asarray(deltas, dtype=float)
-    if d.shape != (config.n,):
-        raise ValueError(f"expected {config.n} deltas, got shape {d.shape}")
-    sep = config.separation
-    mixed_ok = np.abs(d).max() <= sep / 4.0 + ANGLE_TOL
-    nonneg_ok = (d >= -ANGLE_TOL).all() and d.max() <= sep / 2.0 + ANGLE_TOL
-    if not (mixed_ok or nonneg_ok):
-        raise StepTooLargeError(
-            f"step-too-large: max |delta| = {np.abs(d).max()!r} exceeds the "
-            f"separation bound for sep = {sep!r}")
-    new_gaps = np.asarray(config.gaps) + _gap_change(d)
-    if (new_gaps < -ANGLE_TOL).any():
-        raise OrderingBrokenError("ordering-broken: transport produced a negative gap")
-    return Configuration(config.angle_array + _net_rotation(d))
 
 
 def config_from_gaps(gaps: Sequence[float], anchor: float = 0.0) -> Configuration:

@@ -97,7 +97,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_optimize(args) -> int:
     opts = OptimizeOptions(restarts=args.restarts, max_iters=args.max_iters,
-                           tol=args.tol, seed=args.seed)
+                           seed=args.seed)
     result = maximize_polarization(args.kernel, args.n, opts)
     print(json.dumps(result.to_dict()))
     return 0
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_optimize)
 

@@ -1,35 +1,34 @@
-"""Derivative-free search over n-point configurations: maximal polarization
-and, as a small-n sanity check, minimal pairwise energy.
+"""Search over n-point configurations for maximal polarization.
 
-The search space is the simplex of gap vectors (n nonnegative reals summing
-to 2*pi) with the rotation gauge fixed by putting the first point at angle 0.
-Iterates are projected onto the simplex (clip negatives, rescale the sum),
-and a standard simplex-reflection pattern search runs from several starts;
-the first start is always the equal-gap vector, so the known optimum is
-never lost to a bad restart.
+The polarization P = min_j m_j is the least of the per-gap minima m_j of the
+potential, and the optimum is where all m_j are equal.  The search pins the
+first point at angle 0 and takes Newton steps on that max-min optimality
+condition (Demyanov and Malozemov, *Introduction to Minimax*, 1974): the
+gradient of each m_j follows from its minimizer by Danskin's theorem, and a
+least-squares solve equalizes the linearized m_j.  Restart 0 always starts
+from equal gaps, so the known optimum is never lost to a bad restart.  A
+perturbation harness checks that equal spacing is a strict maximizer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .circle_config import TWO_PI, Configuration, config_from_gaps, equally_spaced
-from .energy import config_energy
 from .kernels import Kernel
-from .potential import polarization
+from .potential import _WITNESS_ROUNDING, polarization
 
 __all__ = [
     "OptimizeOptions",
     "OptimizeResult",
     "RestartRecord",
     "StrictnessReport",
-    "nelder_mead",
     "project_gaps",
     "maximize_polarization",
-    "energy_numeric_min",
     "perturbation_test",
 ]
 
@@ -37,15 +36,12 @@ __all__ = [
 @dataclass(frozen=True)
 class OptimizeOptions:
     restarts: int = 8
-    max_iters: int = 2000
-    tol: float = 1e-10  # simplex diameter stop
+    max_iters: int = 2000  # accepted ascent steps per restart
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,102 +83,61 @@ def project_gaps(x: np.ndarray) -> np.ndarray:
     return g * (TWO_PI / total)
 
 
-def nelder_mead(
-    fn: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    step: float,
-    max_iters: int,
-    tol: float,
-) -> Tuple[np.ndarray, float, int]:
-    """Minimize ``fn`` by the usual reflect/expand/contract/shrink simplex.
+# a step that raises no value after this many halvings ends the ascent
+_HALVINGS = 30
 
-    Stops when the simplex diameter falls below ``tol`` (or the vertex
-    values agree to machine-level spread) or after ``max_iters`` iterations.
-    Returns ``(best_x, best_f, iterations)``.
+
+def _slopes(kernel: Kernel, d: np.ndarray) -> np.ndarray:
+    # f'(d) by a central difference, one-sided at 0 and pi; the step floor
+    # keeps d = 0 (a gap minimizer on a node, when f(0) is finite) from 0/0
+    h = 6e-6 * np.maximum(d, 1e-3)
+    lo = np.maximum(d - h, 0.0)
+    hi = np.minimum(d + h, math.pi)
+    return (kernel.eval(hi) - kernel.eval(lo)) / (hi - lo)
+
+
+def _ascend(kernel: Kernel, start: np.ndarray,
+            max_iters: int) -> Tuple[Configuration, float, int]:
+    """Raise P = min_j m_j from the gap vector ``start`` by equalizing the m_j.
+
+    m_j is the minimum of the potential on gap j, attained at z_j.  By
+    Danskin's theorem dm_j/dx_k = -f'(d(z_j, x_k)) sign(z_j - x_k), with the
+    difference wrapped to (-pi, pi].  With x_0 pinned at 0, each step solves
+    the linearized equalization m_j + grad m_j . dx = t by least squares.
+    The ascent stops once t exceeds P by no more than the rounding of an
+    n-term sum; otherwise dx is halved until every gap stays positive and P
+    strictly rises.  Returns the final configuration, P and the number of
+    accepted steps.
     """
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    if dim < 1:
-        raise ValueError("need at least one coordinate")
-    verts = [x0]
-    for i in range(dim):
-        v = x0.copy()
-        v[i] += step
-        verts.append(v)
-    simplex = np.array(verts)
-    values = np.array([fn(v) for v in simplex])
-
-    iters = 0
-    while iters < max_iters:
-        order = np.argsort(values, kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-        diameter = np.abs(simplex[1:] - simplex[0]).max()
-        spread = values[-1] - values[0]
-        if diameter < tol or spread < 1e-13 * max(1.0, abs(values[0])):
-            break
-        iters += 1
-
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_reflected = fn(reflected)
-        if f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = fn(expanded)
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[-1]:
-            contracted = centroid + 0.5 * (reflected - centroid)
+    config = config_from_gaps(start)
+    result = polarization(kernel, config)
+    for iters in range(max_iters):
+        x = config.angle_array
+        _, z, m = (np.array(col) for col in zip(*result.per_arc_minima))
+        w = math.pi - (math.pi - (z[:, None] - x[1:])) % TWO_PI
+        grad = -_slopes(kernel, np.abs(w)) * np.sign(w)
+        system = np.column_stack([grad, -np.ones(m.size)])
+        # unit rows: else lstsq's cutoff drops every equation but the one of
+        # a tiny gap, whose m_j and slopes are huge under a singular kernel
+        scale = np.linalg.norm(system, axis=1)
+        step, *_ = np.linalg.lstsq(system / scale[:, None], -m / scale,
+                                   rcond=None)
+        rounding = _WITNESS_ROUNDING * config.n * abs(result.value)
+        if step[-1] - result.value <= rounding:
+            return config, result.value, iters
+        dx = step[:-1]
+        for _ in range(_HALVINGS + 1):
+            moved = np.concatenate(([0.0], x[1:] + dx))
+            if (np.diff(moved, append=TWO_PI) > 0.0).all():
+                trial = Configuration(moved)
+                trial_result = polarization(kernel, trial)
+                if trial_result.value > result.value:
+                    break
+            dx = dx / 2.0
         else:
-            contracted = centroid + 0.5 * (worst - centroid)
-        f_contracted = fn(contracted)
-        if f_contracted < min(f_reflected, values[-1]):
-            simplex[-1], values[-1] = contracted, f_contracted
-            continue
-        # shrink toward the best vertex
-        for i in range(1, dim + 1):
-            simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-            values[i] = fn(simplex[i])
-
-    best = int(np.argmin(values))
-    return simplex[best].copy(), float(values[best]), iters
-
-
-def _restarted_search(
-    objective: Callable[[np.ndarray], float],
-    n: int,
-    opts: OptimizeOptions,
-) -> Tuple[np.ndarray, float, list]:
-    """Minimize ``objective`` over gap vectors by restarted Nelder-Mead.
-
-    Restart 0 always starts from equal gaps; the remaining starts are drawn
-    from a symmetric Dirichlet on the gap simplex with the seeded generator.
-    Returns the projected gaps of the lowest final value (ties go to the
-    earlier restart), that value, and ``(start, value, iterations)`` for
-    every restart.
-    """
-    rng = np.random.default_rng(opts.seed)
-    equal = np.full(n, TWO_PI / n)
-    runs = []
-    best_gaps: Optional[np.ndarray] = None
-    best_value = np.inf
-    for r in range(opts.restarts):
-        start = equal if r == 0 else rng.dirichlet(np.ones(n)) * TWO_PI
-        x, value, iters = nelder_mead(objective, start, step=0.2 * TWO_PI / n,
-                                      max_iters=opts.max_iters, tol=opts.tol)
-        runs.append((start, value, iters))
-        if value < best_value:
-            best_value = value
-            best_gaps = project_gaps(x)
-    assert best_gaps is not None
-    return best_gaps, float(best_value), runs
+            return config, result.value, iters
+        config, result = trial, trial_result
+    return config, result.value, max_iters
 
 
 def maximize_polarization(
@@ -190,52 +145,34 @@ def maximize_polarization(
     n: int,
     opts: Optional[OptimizeOptions] = None,
 ) -> OptimizeResult:
-    """Best polarization over n-point configurations found by restarted search.
+    """Best polarization over n-point configurations from restarted ascents.
 
-    Deterministic for fixed inputs; ties go to the earlier restart.
+    Restart 0 starts from equal gaps, the others from gap vectors drawn from
+    a symmetric Dirichlet with the seeded generator.  Deterministic for fixed
+    inputs; ties go to the earlier restart.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n!r}")
     opts = opts or OptimizeOptions()
-
-    def objective(x: np.ndarray) -> float:
-        return -polarization(kernel, config_from_gaps(project_gaps(x))).value
-
-    best_gaps, best_f, runs = _restarted_search(objective, n, opts)
-    best_config = config_from_gaps(best_gaps)
+    rng = np.random.default_rng(opts.seed)
+    records = []
+    best_config, best_value = None, -np.inf
+    for r in range(opts.restarts):
+        start = (np.full(n, TWO_PI / n) if r == 0
+                 else rng.dirichlet(np.ones(n)) * TWO_PI)
+        config, value, iters = _ascend(kernel, start, opts.max_iters)
+        records.append(RestartRecord(start_gaps=tuple(float(g) for g in start),
+                                     value=float(value), iterations=iters))
+        if value > best_value:
+            best_config, best_value = config, value
     deviation = max(abs(g - TWO_PI / n) for g in best_config.gaps)
     return OptimizeResult(
         best_config=best_config,
-        best_value=-best_f,
-        per_restart=tuple(
-            RestartRecord(start_gaps=tuple(float(g) for g in start),
-                          value=float(-f), iterations=iters)
-            for start, f, iters in runs),
+        best_value=float(best_value),
+        per_restart=tuple(records),
         converged_to_equal_spacing=bool(deviation < 1e-6),
         seed=opts.seed,
     )
-
-
-def energy_numeric_min(
-    s: float,
-    n: int,
-    opts: Optional[OptimizeOptions] = None,
-) -> Tuple[Configuration, float]:
-    """Minimize the pairwise energy by direct search over gap vectors.
-
-    Small-n sanity check that equally spaced points minimize the energy;
-    first point pinned at angle 0.  Returns the best configuration found
-    and its energy.
-    """
-    if not 2 <= n <= 12:
-        raise ValueError(f"supported range is 2 <= n <= 12, got {n!r}")
-
-    def objective(x: np.ndarray) -> float:
-        return config_energy(s, config_from_gaps(project_gaps(x)))
-
-    best_gaps, best_value, _ = _restarted_search(
-        objective, n, opts or OptimizeOptions())
-    return config_from_gaps(best_gaps), best_value
 
 
 @dataclass(frozen=True)

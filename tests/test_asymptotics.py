@@ -1,16 +1,14 @@
-"""Tests for the numeric zeta/gamma helpers and the leading-term regimes."""
+"""Tests for the numeric zeta helper and the leading-term regimes."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from circlepol.asymptotics import (
     asymptotic_ratio,
     dominant_term,
-    gamma_real,
     zeta_real,
 )
 from circlepol.exact_series import (
@@ -88,45 +86,6 @@ def test_zeta_real_rejects_arguments_at_or_below_one(s):
 
 
 # ---------------------------------------------------------------------------
-# gamma_real
-# ---------------------------------------------------------------------------
-
-
-def test_gamma_real_special_values():
-    assert math.isclose(gamma_real(0.5), math.sqrt(math.pi), rel_tol=1e-13)
-    assert math.isclose(gamma_real(1.0), 1.0, rel_tol=1e-13)
-    assert math.isclose(gamma_real(1.5), math.sqrt(math.pi) / 2.0,
-                        rel_tol=1e-13)
-
-
-def test_gamma_real_matches_factorials():
-    for m in range(1, 16):
-        assert math.isclose(gamma_real(float(m)), math.factorial(m - 1),
-                            rel_tol=1e-12)
-
-
-def test_gamma_real_matches_stdlib_on_random_arguments():
-    rng = np.random.default_rng(7)
-    for x in rng.uniform(0.05, 12.0, size=50):
-        assert math.isclose(gamma_real(float(x)), math.gamma(float(x)),
-                            rel_tol=1e-12)
-
-
-def test_gamma_real_recurrence():
-    rng = np.random.default_rng(11)
-    for x in rng.uniform(0.1, 8.0, size=20):
-        x = float(x)
-        assert math.isclose(gamma_real(x + 1.0), x * gamma_real(x),
-                            rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("x", [0.0, -0.5, -3.0])
-def test_gamma_real_rejects_nonpositive(x):
-    with pytest.raises(ValueError):
-        gamma_real(x)
-
-
-# ---------------------------------------------------------------------------
 # dominant_term
 # ---------------------------------------------------------------------------
 
@@ -148,6 +107,19 @@ def test_dominant_term_exponent_zero_is_linear_identity():
     # so the prefactor is exactly 1 and the term equals n.
     for n in (1, 2, 7, 500):
         assert math.isclose(dominant_term(0.0, n), float(n), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_dominant_term_sublinear_matches_mpmath_closed_form(n):
+    # 2**-s / sqrt(pi) * Gamma((1-s)/2) / Gamma(1-s/2) * n at s = 1/2,
+    # evaluated with 40 significant digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.mpf(1) / 2
+        exact = (mpmath.power(2, -s) / mpmath.sqrt(mpmath.pi)
+                 * mpmath.gamma((1 - s) / 2) / mpmath.gamma(1 - s / 2) * n)
+        error = abs((mpmath.mpf(dominant_term(0.5, n)) - exact) / exact)
+    assert error <= 5e-16
 
 
 def test_dominant_term_at_boundary_is_n_log_n_over_pi():

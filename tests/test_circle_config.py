@@ -1,4 +1,4 @@
-"""Configuration canonical form, gaps, moves, transport preconditions, I/O."""
+"""Configuration canonical form, gaps, distances, symmetries, I/O."""
 
 import json
 import math
@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (TWO_PI, Configuration, OrderingBrokenError,
-                       StepTooLargeError, apply_transport, config_from_gaps,
-                       config_from_json, config_to_json, coordinate_move,
-                       equally_spaced, geodesic_distance, load_config_file,
-                       pair_move, reflect, rotate)
+from circlepol import (TWO_PI, Configuration, config_from_gaps,
+                       config_from_json, config_to_json, equally_spaced,
+                       geodesic_distance, load_config_file, reflect, rotate)
 from helpers import random_config
 
 
@@ -78,98 +76,6 @@ def test_rotate_preserves_gaps_cyclically():
 def test_reflect_reverses_gap_order():
     c = config_from_gaps([1.0, 2.0, TWO_PI - 3.0], anchor=0.5)
     assert sorted(reflect(c).gaps) == pytest.approx(sorted(c.gaps), rel=1e-12)
-
-
-def test_pair_move_spreads_points():
-    w1, w2 = pair_move(0.0, math.pi, 0.1)
-    assert w1 == pytest.approx(TWO_PI - 0.1)
-    assert w2 == pytest.approx(math.pi + 0.1)
-
-
-def test_pair_move_coincident_uses_full_circle():
-    w1, w2 = pair_move(0.0, 0.0, 0.3)
-    assert w1 == pytest.approx(TWO_PI - 0.3)
-    assert w2 == pytest.approx(0.3)
-
-
-def test_pair_move_eps_bounds():
-    # complementary arc from pi back to 0 has length pi
-    with pytest.raises(ValueError):
-        pair_move(0.0, math.pi, math.pi / 2)
-    with pytest.raises(ValueError):
-        pair_move(0.0, math.pi, 0.0)
-    with pytest.raises(ValueError):
-        pair_move(0.0, math.pi, -0.1)
-
-
-def test_coordinate_move_changes_adjacent_gaps():
-    c = equally_spaced(4, phase=1.0)
-    delta = 0.1
-    moved = coordinate_move(c, 1, delta)
-    want = np.array(c.gaps) + delta * np.array([-1.0, 2.0, -1.0, 0.0])
-    assert_allclose(moved.gaps, want, atol=1e-12)
-
-
-def test_coordinate_move_wraps_last_index():
-    c = equally_spaced(3, phase=1.0)
-    moved = coordinate_move(c, 2, 0.05)
-    want = np.array(c.gaps) + 0.05 * np.array([-1.0, -1.0, 2.0])
-    assert_allclose(moved.gaps, want, atol=1e-12)
-
-
-def test_coordinate_move_ordering_broken():
-    c = equally_spaced(4)
-    with pytest.raises(OrderingBrokenError):
-        coordinate_move(c, 0, -TWO_PI / 4 - 0.01)  # widen behind beyond the gap
-    with pytest.raises(IndexError):
-        coordinate_move(c, 7, 0.01)
-
-
-def test_composed_coordinate_moves_equal_transport():
-    rng = np.random.default_rng(3)
-    for n in (3, 5, 8):
-        # anchor far from angle 0 so no point crosses the wrap line
-        gaps = rng.dirichlet(np.ones(n) * 5.0) * TWO_PI
-        c = config_from_gaps(gaps, anchor=2.0)
-        deltas = rng.uniform(0.0, c.separation / 4.0, n)
-        composed = c
-        for k in range(n):
-            composed = coordinate_move(composed, k, deltas[k])
-        direct = apply_transport(c, deltas)
-        assert_allclose(composed.angles, direct.angles, atol=1e-12)
-
-
-def test_apply_transport_gap_identity():
-    rng = np.random.default_rng(4)
-    for n in (2, 3, 6, 12):
-        c = random_config(rng, n, min_sep=0.05)
-        deltas = rng.uniform(-c.separation / 4.0, c.separation / 4.0, n)
-        out = apply_transport(c, deltas)
-        want = (np.array(c.gaps) - np.roll(deltas, 1)
-                + 2.0 * deltas - np.roll(deltas, -1))
-        got = np.array(out.gaps)
-        ok = any(np.allclose(got, np.roll(want, r), atol=1e-9)
-                 for r in range(n))
-        assert ok, f"gap identity failed for n={n}"
-
-
-def test_apply_transport_worked_example():
-    src = config_from_gaps([math.pi, math.pi / 2, math.pi / 2])
-    out = apply_transport(src, [0.0, math.pi / 6, math.pi / 6])
-    assert_allclose(sorted(out.gaps), np.full(3, TWO_PI / 3), atol=1e-12)
-
-
-def test_apply_transport_step_bounds():
-    c = equally_spaced(4)  # separation pi/2
-    sep = c.separation
-    apply_transport(c, [sep / 4, -sep / 4, sep / 4, -sep / 4])  # mixed, at bound
-    apply_transport(c, [sep / 2, 0.0, 0.0, 0.0])  # nonnegative branch
-    with pytest.raises(StepTooLargeError):
-        apply_transport(c, [sep / 2 + 0.01, 0.0, 0.0, 0.0])
-    with pytest.raises(StepTooLargeError):
-        apply_transport(c, [-sep / 4 - 0.01, sep / 4, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        apply_transport(c, [0.0, 0.0])  # wrong length
 
 
 def test_config_from_gaps_validation():

@@ -14,10 +14,7 @@ from circlepol.energy import (
     polarization_via_energy,
 )
 from circlepol.kernels import riesz_kernel
-from circlepol.optimizer import energy_numeric_min
 from circlepol.potential import polarization
-
-from helpers import sup_gap_deviation
 
 
 # ---------------------------------------------------------------------------
@@ -128,31 +125,3 @@ def test_config_energy_validation():
         config_energy(0.0, equally_spaced(3))
     with pytest.raises(ValueError):
         config_energy(2.0, Configuration([1.0]))
-
-
-# ---------------------------------------------------------------------------
-# energy_numeric_min
-# ---------------------------------------------------------------------------
-
-
-def test_numeric_min_recovers_equally_spaced_exponent_two():
-    config, value = energy_numeric_min(2.0, 3)
-    assert math.isclose(value, 2.0, rel_tol=1e-9)
-    assert sup_gap_deviation(config) < 1e-5
-
-
-def test_numeric_min_two_points_exponent_one():
-    _, value = energy_numeric_min(1.0, 2)
-    assert math.isclose(value, 1.0, rel_tol=1e-9)
-
-
-def test_numeric_min_matches_closed_form_exponent_three():
-    _, value = energy_numeric_min(3.0, 4)
-    assert math.isclose(value, energy_equally_spaced(3.0, 4), rel_tol=1e-6)
-
-
-def test_numeric_min_validation():
-    with pytest.raises(ValueError):
-        energy_numeric_min(2.0, 1)
-    with pytest.raises(ValueError):
-        energy_numeric_min(2.0, 13)
