@@ -91,13 +91,21 @@ def equally_spaced(n: int, phase: float = 0.0) -> Configuration:
     return Configuration((phase + TWO_PI * k / n) for k in range(n))
 
 
+def _signed_wrap(w):
+    """``w`` shifted by a multiple of 2*pi into [-pi, pi].
+
+    Exact for |w| <= pi, so a tiny difference of two angles is never rounded
+    to a multiple of the spacing of floats near pi.
+    """
+    return w - TWO_PI * np.rint(w / TWO_PI)
+
+
 def geodesic_distance(a, b):
     """Shortest arclength between angles ``a`` and ``b``; lies in [0, pi].
 
     Accepts scalars or arrays (broadcasting elementwise).
     """
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % TWO_PI
-    d = np.minimum(d, TWO_PI - d)
+    d = np.abs(_signed_wrap(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
     return float(d) if d.ndim == 0 else d
 
 

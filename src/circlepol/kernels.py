@@ -69,11 +69,6 @@ class Kernel:
     def __call__(self, theta):
         return self.eval(theta)
 
-    @property
-    def singular(self) -> bool:
-        """True when the kernel blows up at coincident points."""
-        return math.isinf(self.value_at_zero)
-
 
 def riesz_kernel(s: float) -> Kernel:
     """Inverse s-power of the chord length, ``(2 sin(theta/2))**(-s)``.
@@ -189,8 +184,8 @@ class ValidationReport:
 REL_TOL = 1e-12
 
 
-def _scale_tol(*values: float) -> float:
-    return REL_TOL * max(1.0, *(abs(v) for v in values))
+def _scale_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
@@ -236,37 +231,34 @@ def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
 
 
 def _check_monotone(theta: np.ndarray, values: np.ndarray) -> CheckResult:
-    for i in range(len(theta) - 1):
-        if values[i + 1] > values[i] + _scale_tol(values[i], values[i + 1]):
-            return CheckResult(
-                False,
-                f"f({theta[i]:.6g})={values[i]:.6g} < f({theta[i + 1]:.6g})="
-                f"{values[i + 1]:.6g}",
-                (float(theta[i]), float(theta[i + 1])),
-            )
+    a, b = values[:-1], values[1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = b > a + _scale_tol(a, b)
+    if bad.any():
+        i = int(np.argmax(bad))
+        return CheckResult(
+            False,
+            f"f({theta[i]:.6g})={values[i]:.6g} < f({theta[i + 1]:.6g})="
+            f"{values[i + 1]:.6g}",
+            (float(theta[i]), float(theta[i + 1])),
+        )
     return CheckResult(True)
 
 
 def _check_midpoint_convexity(theta: np.ndarray, values: np.ndarray,
                               strict: bool) -> CheckResult:
     # uniform grid: theta[i+1] is the midpoint of (theta[i], theta[i+2])
-    for i in range(len(theta) - 2):
-        mid = values[i + 1]
-        avg = 0.5 * (values[i] + values[i + 2])
-        tol = _scale_tol(values[i], values[i + 2])
-        if strict:
-            if not mid < avg:
-                return CheckResult(
-                    False,
-                    f"no strict midpoint margin on ({theta[i]:.6g}, "
-                    f"{theta[i + 2]:.6g})",
-                    (float(theta[i]), float(theta[i + 2])),
-                )
-        elif mid > avg + tol:
-            return CheckResult(
-                False,
-                f"midpoint convexity fails on ({theta[i]:.6g}, "
-                f"{theta[i + 2]:.6g}): f(mid)={mid:.6g} > {avg:.6g}",
-                (float(theta[i]), float(theta[i + 2])),
-            )
-    return CheckResult(True)
+    a, mid, b = values[:-2], values[1:-1], values[2:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        avg = 0.5 * (a + b)
+        bad = ~(mid < avg) if strict else mid > avg + _scale_tol(a, b)
+    if not bad.any():
+        return CheckResult(True)
+    i = int(np.argmax(bad))
+    if strict:
+        detail = (f"no strict midpoint margin on ({theta[i]:.6g}, "
+                  f"{theta[i + 2]:.6g})")
+    else:
+        detail = (f"midpoint convexity fails on ({theta[i]:.6g}, "
+                  f"{theta[i + 2]:.6g}): f(mid)={mid[i]:.6g} > {avg[i]:.6g}")
+    return CheckResult(False, detail, (float(theta[i]), float(theta[i + 2])))

@@ -12,7 +12,6 @@ perturbation harness checks that equal spacing is a strict maximizer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .circle_config import TWO_PI, Configuration, config_from_gaps, equally_spaced
 from .kernels import Kernel
-from .potential import _WITNESS_ROUNDING, polarization
+from .potential import _WITNESS_ROUNDING, _slope_terms, polarization
 
 __all__ = [
     "OptimizeOptions",
@@ -87,22 +86,13 @@ def project_gaps(x: np.ndarray) -> np.ndarray:
 _HALVINGS = 30
 
 
-def _slopes(kernel: Kernel, d: np.ndarray) -> np.ndarray:
-    # f'(d) by a central difference, one-sided at 0 and pi; the step floor
-    # keeps d = 0 (a gap minimizer on a node, when f(0) is finite) from 0/0
-    h = 6e-6 * np.maximum(d, 1e-3)
-    lo = np.maximum(d - h, 0.0)
-    hi = np.minimum(d + h, math.pi)
-    return (kernel.eval(hi) - kernel.eval(lo)) / (hi - lo)
-
-
 def _ascend(kernel: Kernel, start: np.ndarray,
             max_iters: int) -> Tuple[Configuration, float, int]:
     """Raise P = min_j m_j from the gap vector ``start`` by equalizing the m_j.
 
     m_j is the minimum of the potential on gap j, attained at z_j.  By
     Danskin's theorem dm_j/dx_k = -f'(d(z_j, x_k)) sign(z_j - x_k), with the
-    difference wrapped to (-pi, pi].  With x_0 pinned at 0, each step solves
+    difference wrapped to [-pi, pi].  With x_0 pinned at 0, each step solves
     the linearized equalization m_j + grad m_j . dx = t by least squares.
     The ascent stops once t exceeds P by no more than the rounding of an
     n-term sum; otherwise dx is halved until every gap stays positive and P
@@ -114,8 +104,7 @@ def _ascend(kernel: Kernel, start: np.ndarray,
     for iters in range(max_iters):
         x = config.angle_array
         _, z, m = (np.array(col) for col in zip(*result.per_arc_minima))
-        w = math.pi - (math.pi - (z[:, None] - x[1:])) % TWO_PI
-        grad = -_slopes(kernel, np.abs(w)) * np.sign(w)
+        grad = -_slope_terms(kernel, x[1:], z)
         system = np.column_stack([grad, -np.ones(m.size)])
         # unit rows: else lstsq's cutoff drops every equation but the one of
         # a tiny gap, whose m_j and slopes are huge under a singular kernel

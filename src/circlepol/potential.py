@@ -2,10 +2,11 @@
 
 The potential of a configuration at a point is the sum of kernel values of
 the geodesic distances to every node.  For nonincreasing convex kernels the
-potential restricted to one gap between consecutive nodes is unimodal, so
-each gap is searched by coarse sampling plus golden-section refinement and
-the global minimum (the polarization of the configuration) is the best of
-the per-gap minima.
+potential restricted to one gap between consecutive nodes is convex, since
+the geodesic distance is concave inside a gap.  Its derivative therefore
+changes sign once on the gap, so each gap is searched by bisecting the sign
+of the derivative, and the global minimum (the polarization of the
+configuration) is the best of the per-gap minima.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .circle_config import TWO_PI, Configuration
+from .circle_config import ANGLE_TOL, TWO_PI, Configuration, _signed_wrap
 from .kernels import Kernel
 
 __all__ = [
@@ -35,21 +36,12 @@ WITNESS_TOL = 1e-9
 # congruent arcs of an n-term sum differ by a few n * eps * |value|
 _WITNESS_ROUNDING = 32 * np.finfo(float).eps
 
-# coarse samples per arc, and the cap on golden-section steps after them
-_SAMPLES = 64
-_REFINE_ITERS = 200
-
-# stop refining a bracket once it is this short
-_BRACKET_TOL = 1e-12
-
-# keep evaluations off the nodes of a singular kernel
-_ENDPOINT_OFFSET = 1e-9
+# halvings of each arc's bracket: the minimizer lands within 2**-33 of the
+# arc, and near the minimum the value moves by the square of that
+_BISECTIONS = 32
 
 # chunk large evaluation batches to bound memory (floats per distance matrix)
 _CHUNK_BUDGET = 4_000_000
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = 1.0 - _INVPHI
 
 
 def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
@@ -58,32 +50,52 @@ def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
     Values at a node of a singular kernel are ``+inf``.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _potential_at(kernel, config.angle_array, z)
+    return _row_sums(_potential_terms, kernel, config.angle_array, z)
 
 
-def _potential_at(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _row_sums(terms, kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``terms(kernel, nodes, z)`` summed over the nodes, in bounded chunks."""
     n = nodes.size
     if z.size * n <= _CHUNK_BUDGET:
-        return _potential_block(kernel, nodes, z)
+        return terms(kernel, nodes, z).sum(axis=-1)
     flat = z.reshape(-1)
     out = np.empty(flat.size)
     step = max(1, _CHUNK_BUDGET // n)
     for i in range(0, flat.size, step):
-        out[i:i + step] = _potential_block(kernel, nodes, flat[i:i + step])
+        out[i:i + step] = terms(kernel, nodes, flat[i:i + step]).sum(axis=-1)
     return out.reshape(z.shape)
 
 
-def _potential_block(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    d = np.abs(z[..., None] - nodes) % TWO_PI
-    np.minimum(d, TWO_PI - d, out=d)
-    return kernel.eval(d).sum(axis=-1)
+def _potential_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return kernel.eval(np.abs(_signed_wrap(z[..., None] - nodes)))
+
+
+def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """f'(d(z, x)) sign(z - x) for each probe ``z`` (rows) and node ``x``.
+
+    A row sums to the derivative of the potential at ``z``; negated, it is
+    the gradient of a gap minimum at ``z`` in the node positions (Danskin).
+    f' is a central difference with a step relative to d, one-sided at 0
+    and pi.  The fixed step at d = 0 serves kernels with a finite f(0) only:
+    a probe on a node of a singular kernel gives NaN.  Raises
+    ``ValueError`` when the kernel yields NaN.
+    """
+    w = _signed_wrap(z[..., None] - nodes)
+    d = np.abs(w)
+    h = 6e-6 * np.where(d > 0.0, d, 1e-3)
+    lo = np.maximum(d - h, 0.0)
+    hi = np.minimum(d + h, math.pi)
+    f_lo, f_hi = kernel.eval(lo), kernel.eval(hi)
+    if np.isnan(f_lo).any() or np.isnan(f_hi).any():
+        raise ValueError("kernel returned NaN")
+    return (f_hi - f_lo) / (hi - lo) * np.sign(w)
 
 
 @dataclass(frozen=True)
 class PolarizationResult:
     """Minimum of the potential over the circle, with where it is attained.
 
-    ``witnesses`` lists every refined per-gap minimizer whose value is within
+    ``witnesses`` lists every per-gap minimizer whose value is within
     ``WITNESS_TOL`` plus the rounding of an n-term sum of the best, sorted by
     angle.  ``per_arc_minima`` records ``(gap_index, angle, value)`` for
     each nondegenerate gap.
@@ -100,56 +112,38 @@ def _minimize_on_arcs(
     starts: np.ndarray,
     lengths: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Minimize the potential on each arc ``[starts, starts + lengths]``.
+    """Minimize the potential on each node-free arc ``[starts, starts + lengths]``.
 
-    All arcs advance in lockstep: one coarse sampling pass, then
-    golden-section steps applied to every bracket at once.  Returns the
+    The potential is convex on such an arc, so its derivative changes sign
+    once there.  Every bracket is halved ``_BISECTIONS`` times on the sign
+    of the derivative at its midpoint, all arcs at once, and the potential
+    is evaluated at the final midpoints.  A bracket whose midpoint rounds
+    onto one of its ends stops, so no probe lands on a node.  Returns the
     minimizing angles (wrapped to [0, 2*pi)) and the minimum values.
     Raises ``ValueError`` when the kernel yields NaN at any evaluated point.
     """
-    offset = lengths * (_ENDPOINT_OFFSET if kernel.singular else 0.0)
-    lo = starts + offset
-    span = lengths - 2.0 * offset
-    ts = np.linspace(0.0, 1.0, _SAMPLES)
-    grid = lo[:, None] + span[:, None] * ts[None, :]
-    values = _potential_at(kernel, nodes, grid)
-    rows = np.arange(starts.size)
-    best = np.argmin(values, axis=1)
-    best_x = grid[rows, best]
-    best_v = values[rows, best]
-
-    # bracket the coarse minimum by its neighbours and refine
-    a = grid[rows, np.maximum(best - 1, 0)]
-    b = grid[rows, np.minimum(best + 1, _SAMPLES - 1)]
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = _potential_at(kernel, nodes, c)
-    fd = _potential_at(kernel, nodes, d)
-    # the comparisons below silently drop a NaN probe; np.minimum keeps it
-    probed = np.minimum(fc, fd)
-    for _ in range(_REFINE_ITERS):
-        if h.max() <= _BRACKET_TOL:
+    ends = starts + lengths
+    lo, hi = starts.copy(), ends.copy()
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        live = np.nonzero((lo < mid) & (mid < hi))[0]
+        if live.size == 0:
             break
-        keep_left = fc < fd
-        a = np.where(keep_left, a, c)
-        b = np.where(keep_left, d, b)
-        h = b - a
-        new_x = a + np.where(keep_left, _INVPHI2, _INVPHI) * h
-        new_f = _potential_at(kernel, nodes, new_x)
-        np.minimum(probed, new_f, out=probed)
-        c, d = (np.where(keep_left, new_x, d),
-                np.where(keep_left, c, new_x))
-        fc, fd = (np.where(keep_left, new_f, fd),
-                  np.where(keep_left, fc, new_f))
-    if np.isnan(values).any() or np.isnan(probed).any():
+        # next to both ends of a tiny arc the kernel or its slope can
+        # overflow; inf - inf gives no direction, so that bracket stays put
+        with np.errstate(invalid="ignore", over="ignore"):
+            slope = _row_sums(_slope_terms, kernel, nodes, mid[live])
+        up, down = live[slope >= 0.0], live[slope < 0.0]
+        hi[up] = mid[up]
+        lo[down] = mid[down]
+    # the midpoint of a bracket one float wide rounds onto an end, which may
+    # be a node: keep it inside wherever the arc has an interior float
+    z = np.clip(0.5 * (lo + hi), np.nextafter(starts, ends),
+                np.nextafter(ends, starts))
+    values = _row_sums(_potential_terms, kernel, nodes, z)
+    if np.isnan(values).any():
         raise ValueError("kernel returned NaN inside an arc")
-    refined_x = np.where(fc < fd, c, d)
-    refined_v = np.minimum(fc, fd)
-    take = refined_v < best_v
-    best_x = np.where(take, refined_x, best_x)
-    best_v = np.where(take, refined_v, best_v)
-    return best_x % TWO_PI, best_v
+    return z % TWO_PI, values
 
 
 def minimum_on_arc(
@@ -162,8 +156,13 @@ def minimum_on_arc(
 
     Returns ``(angle, value)``; gap ``k`` of ``config`` is the arc from
     ``config.angles[k]`` spanning ``config.gaps[k]``.  A zero-length arc
-    evaluates the single point.
+    evaluates the single point.  Raises ``ValueError`` when a node of
+    ``config`` lies inside the arc, more than ``ANGLE_TOL`` from both ends:
+    the potential need not be convex there.
     """
+    offsets = (config.angle_array - start) % TWO_PI
+    if ((offsets > ANGLE_TOL) & (offsets < length - ANGLE_TOL)).any():
+        raise ValueError("a node of the configuration lies inside the arc")
     if length == 0.0:
         return float(start), float(potential_values(kernel, config, start)[0])
     xs, vs = _minimize_on_arcs(
@@ -185,23 +184,14 @@ def polarization(kernel: Kernel, config: Configuration) -> PolarizationResult:
     nodes = config.angle_array
     gaps = np.asarray(config.gaps)
     live = np.nonzero(gaps > 0.0)[0]
-    starts = nodes[live]
-    lengths = gaps[live]
+    xs, vs = _minimize_on_arcs(kernel, nodes, nodes[live], gaps[live])
+    per_arc = tuple(zip(live.tolist(), xs.tolist(), vs.tolist()))
 
-    per_arc = []
-    chunk = max(1, _CHUNK_BUDGET // (_SAMPLES * max(1, config.n)))
-    for i in range(0, live.size, chunk):
-        xs, vs = _minimize_on_arcs(
-            kernel, nodes, starts[i:i + chunk], lengths[i:i + chunk])
-        per_arc.extend(
-            (int(live[i + j]), float(xs[j]), float(vs[j]))
-            for j in range(xs.size))
-
-    value = min(v for _, _, v in per_arc)
+    value = float(vs.min())
     tol = WITNESS_TOL + _WITNESS_ROUNDING * config.n * abs(value)
     witnesses = tuple(sorted(x for _, x, v in per_arc if v - value <= tol))
     return PolarizationResult(value=value, witnesses=witnesses,
-                              per_arc_minima=tuple(per_arc))
+                              per_arc_minima=per_arc)
 
 
 def potential_profile(
@@ -217,5 +207,5 @@ def potential_profile(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     zs = TWO_PI * np.arange(resolution) / resolution
-    vals = _potential_at(kernel, config.angle_array, zs)
+    vals = _row_sums(_potential_terms, kernel, config.angle_array, zs)
     return np.column_stack([zs, vals])

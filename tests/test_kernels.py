@@ -41,15 +41,12 @@ def test_power_kernel_values_and_flags():
     assert k(0.0) == 0.0
     assert_allclose(k(math.pi), -math.sqrt(2.0), rtol=1e-15)
     assert k.strictly_convex
-    assert not k.singular
     assert not power_kernel(1.0).strictly_convex
 
 
 def test_singular_kernels_return_inf_at_zero():
     assert riesz_kernel(2)(0.0) == math.inf
     assert log_kernel()(0.0) == math.inf
-    assert riesz_kernel(2).singular
-    assert log_kernel().singular
 
 
 def test_eval_vectorized_matches_scalar():
@@ -110,3 +107,40 @@ def test_kernel_labels():
     assert riesz_kernel(2).label == "riesz:2"
     assert log_kernel().label == "log"
     assert power_kernel(0.5).label == "power:0.5"
+
+
+def _loop_checks(theta, values):
+    """First (i, kind) violation of each check, by the scalar loop."""
+    def tol(*v):
+        return 1e-12 * max(1.0, *(abs(x) for x in v))
+    monotone = next((i for i in range(len(theta) - 1)
+                     if values[i + 1] > values[i] + tol(values[i], values[i + 1])),
+                    None)
+    convex = strict = None
+    for i in range(len(theta) - 2):
+        avg = 0.5 * (values[i] + values[i + 2])
+        if convex is None and values[i + 1] > avg + tol(values[i], values[i + 2]):
+            convex = i
+        if strict is None and not values[i + 1] < avg:
+            strict = i
+    return monotone, convex, strict
+
+
+@pytest.mark.parametrize("fn", [
+    lambda t: t,
+    lambda t: -(t ** 2),
+    lambda t: math.pi - t,
+    lambda t: -t + 0.01 * np.sin(40 * t),
+    lambda t: np.where(t > 2, np.nan, 1 / t),
+    lambda t: np.abs(t - 1.0),
+])
+def test_vectorized_checks_find_the_loops_first_violation(fn):
+    k = custom_kernel(fn, math.inf, strictly_convex=True)
+    report = validate_kernel(k, grid_size=200)
+    theta = np.pi * np.arange(1, 201) / 200
+    values = k.eval(theta).tolist()
+    got = (report.non_increasing, report.convex, report.strictly_convex)
+    for result, i, gap in zip(got, _loop_checks(theta, values), (1, 2, 2)):
+        assert result.passed == (i is None)
+        if i is not None:
+            assert result.witness == (theta[i], theta[i + gap])

@@ -57,12 +57,12 @@ def test_coincident_points_count_with_multiplicity():
 def test_arc_minimum_symmetric_cases():
     c = equally_spaced(2)
     x, v = minimum_on_arc(riesz_kernel(2), c, c.angles[0], c.gaps[0])
-    assert x == pytest.approx(math.pi / 2, abs=1e-6)
+    assert x == pytest.approx(math.pi / 2, abs=1e-9)
     assert v == pytest.approx(1.0, rel=1e-12)
 
     c = equally_spaced(4)
     x, _ = minimum_on_arc(riesz_kernel(2), c, c.angles[0], c.gaps[0])
-    assert x == pytest.approx(math.pi / 4, abs=1e-6)
+    assert x == pytest.approx(math.pi / 4, abs=1e-9)
 
 
 def test_arc_minimum_matches_dense_scan():
@@ -76,6 +76,58 @@ def test_arc_minimum_matches_dense_scan():
     assert x == pytest.approx(float(zs[i]), abs=1e-5)
 
 
+def test_minimum_on_arc_rejects_arc_over_a_node():
+    c = equally_spaced(4)
+    k = riesz_kernel(2)
+    with pytest.raises(ValueError, match="inside the arc"):
+        minimum_on_arc(k, c, 0.0, math.pi)
+    with pytest.raises(ValueError, match="inside the arc"):
+        minimum_on_arc(k, c, 0.1, c.gaps[0])
+    # a gap passes with rounding slack at both ends
+    x, _ = minimum_on_arc(k, c, -1e-13, c.gaps[0] + 2e-13)
+    assert x == pytest.approx(math.pi / 4, abs=1e-9)
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel()],
+                         ids=lambda k: k.label)
+def test_minimum_on_arc_matches_polarization_bit_for_bit(kernel):
+    # each arc is minimized on its own, whatever arcs it is batched with
+    c = random_config(np.random.default_rng(256), 256)
+    for k, x, v in polarization(kernel, c).per_arc_minima:
+        assert minimum_on_arc(kernel, c, c.angles[k], c.gaps[k]) == (x, v)
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), riesz_kernel(4), riesz_kernel(20),
+                                    log_kernel(), power_kernel(0.5)],
+                         ids=lambda k: k.label)
+@pytest.mark.parametrize("ulps", [1, 2])
+def test_gap_of_one_or_two_ulps(kernel, ulps):
+    # under riesz:20 the difference quotient overflows in a 2-ulp gap
+    tiny = 3.0
+    for _ in range(ulps):
+        tiny = np.nextafter(tiny, 4.0)
+    c = Configuration([3.0, tiny, 5.0])
+    assert c.gaps[0] == ulps * np.spacing(3.0)
+    r = polarization(kernel, c)
+    assert math.isfinite(r.value)
+    assert [k for k, _, _ in r.per_arc_minima] == [0, 1, 2]
+    _, x, v = r.per_arc_minima[0]
+    assert 3.0 <= x <= tiny
+    if ulps == 2:  # 3.0 + ulp is the one interior float
+        assert x == np.nextafter(3.0, 4.0)
+        assert math.isfinite(v)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_gap_where_the_kernel_overflows():
+    # f(d) is +inf by overflow all over a gap of 1e-160 under riesz:2
+    c = Configuration([0.0, 1e-160, 3.0])
+    r = polarization(riesz_kernel(2), c)
+    assert r.per_arc_minima[0][2] == math.inf
+    assert r.value == min(v for _, _, v in r.per_arc_minima[1:])
+    assert math.isfinite(r.value)
+
+
 def test_polarization_equally_spaced_known_values():
     assert polarization(riesz_kernel(2), equally_spaced(2)).value == pytest.approx(1.0, rel=1e-12)
     assert polarization(riesz_kernel(4), equally_spaced(2)).value == pytest.approx(0.5, rel=1e-12)
@@ -86,7 +138,7 @@ def test_polarization_single_point():
     r = polarization(riesz_kernel(2), Configuration([0.0]))
     assert r.value == pytest.approx(0.25, rel=1e-12)
     assert len(r.witnesses) == 1
-    assert r.witnesses[0] == pytest.approx(math.pi, abs=1e-6)
+    assert r.witnesses[0] == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_polarization_equally_spaced_per_arc_values_agree():
@@ -116,11 +168,23 @@ def test_nan_kernel_raises():
 
 
 def test_nan_met_only_by_refinement_raises():
-    # NaN near distance pi/2 only: the coarse grid of the gap [0, pi] misses
-    # it, and golden-section steps toward the minimum at pi/2 land in it
+    # NaN near distance pi/2 only: the potential is finite at both ends of
+    # the gap [0, pi], and the first probe of the derivative, at the gap's
+    # midpoint pi/2, lands in it
     def fn(t):
         return np.where(np.abs(t - math.pi / 2) < 1e-4, np.nan,
                         (2.0 * np.sin(t / 2.0)) ** -2.0)
+    with pytest.raises(ValueError, match="NaN"):
+        minimum_on_arc(custom_kernel(fn, math.inf), equally_spaced(2),
+                       0.0, math.pi)
+
+
+def test_nan_met_only_by_the_difference_quotient_raises():
+    # NaN on a ring around distance pi/2: the first probe, at pi/2, is clear
+    # of it, but the difference quotient there steps 9.4e-6 into it
+    def fn(t):
+        ring = (np.abs(t - math.pi / 2) > 5e-6) & (np.abs(t - math.pi / 2) < 2e-5)
+        return np.where(ring, np.nan, (2.0 * np.sin(t / 2.0)) ** -2.0)
     with pytest.raises(ValueError, match="NaN"):
         minimum_on_arc(custom_kernel(fn, math.inf), equally_spaced(2),
                        0.0, math.pi)
@@ -141,7 +205,7 @@ def test_all_coincident_points_use_full_circle_arc():
     r = polarization(riesz_kernel(2), c)
     # three coincident points: minimum is 3 * kernel(pi) at the antipode
     assert r.value == pytest.approx(3 * 0.25, rel=1e-10)
-    assert r.witnesses[0] == pytest.approx((2.0 + math.pi) % TWO_PI, abs=1e-6)
+    assert r.witnesses[0] == pytest.approx((2.0 + math.pi) % TWO_PI, abs=1e-9)
 
 
 def test_polarization_rotation_invariance():
