@@ -15,7 +15,6 @@ from .circle_config import (TWO_PI, Configuration, config_from_gaps,
                             geodesic_distance, load_config_file, reflect,
                             rotate)
 from .energy import config_energy, energy_equally_spaced, polarization_via_energy
-from .errors import InvalidGapVectorsError
 from .exact_series import (ExactPolynomial, RationalSeries, bernoulli_numbers,
                            exact_polarization_polynomial,
                            generalized_bernoulli_value, log_sinc_series,
@@ -27,9 +26,9 @@ from .optimizer import (OptimizeOptions, OptimizeResult, RestartRecord,
                         perturbation_test, project_gaps)
 from .potential import (PolarizationResult, minimum_on_arc, polarization,
                         potential_profile, potential_values)
-from .transport import (InequalityReport, TransportPlan,
-                        check_pair_inequality, homotopy_config, min_curve,
-                        solve_gap_system, solve_transport)
+from .transport import (InequalityReport, InvalidGapVectorsError,
+                        TransportPlan, check_pair_inequality, homotopy_config,
+                        min_curve, solve_gap_system, solve_transport)
 
 __version__ = "0.1.0"
 

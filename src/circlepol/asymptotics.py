@@ -42,7 +42,7 @@ def _alternating_weights(terms: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def zeta_real(s: float, terms: int = DEFAULT_ZETA_TERMS) -> float:
+def zeta_real(s: float) -> float:
     """Riemann zeta for real s > 1.
 
     Computed from the alternating (eta) series with Chebyshev acceleration:
@@ -51,10 +51,10 @@ def zeta_real(s: float, terms: int = DEFAULT_ZETA_TERMS) -> float:
     """
     if not s > 1.0:
         raise ValueError(f"zeta_real needs s > 1, got {s!r}")
-    weights = _alternating_weights(terms)
-    d_last = weights[terms]
+    weights = _alternating_weights(DEFAULT_ZETA_TERMS)
+    d_last = weights[DEFAULT_ZETA_TERMS]
     total = 0.0
-    for k in range(terms):
+    for k in range(DEFAULT_ZETA_TERMS):
         total += (-1) ** k * float(weights[k] - d_last) / (k + 1.0) ** s
     # expm1 keeps the eta-to-zeta factor fully accurate as s -> 1, where
     # 1 - 2**(1-s) would cancel catastrophically.
@@ -69,7 +69,7 @@ def dominant_term(s: float, n: int) -> float:
     s = 1:      n log n / pi
     0 <= s < 1: 2**(-s) / sqrt(pi) * Gamma((1-s)/2) / Gamma(1 - s/2) * n
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError(f"need s >= 0, got {s!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n!r}")

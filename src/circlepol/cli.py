@@ -206,9 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for the best n-point configuration")
     p.add_argument("--kernel", required=True, type=_kernel_arg)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=OptimizeOptions.restarts)
+    p.add_argument("--max-iters", type=int,
+                   default=OptimizeOptions.max_iters)
+    p.add_argument("--seed", type=int, default=OptimizeOptions.seed)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("transport",

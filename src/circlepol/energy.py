@@ -27,7 +27,7 @@ def energy_equally_spaced(s: float, n: int) -> float:
     """
     if n < 2:
         raise ValueError("energy needs n >= 2 (no pairs otherwise)")
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"need s > 0, got {s!r}")
     k = np.arange(1, n)
     return float(n * np.sum((2.0 * np.sin(np.pi * k / n)) ** (-s)))
@@ -48,7 +48,7 @@ def polarization_via_energy(s: float, n: int) -> float:
 
 def config_energy(s: float, config: Configuration) -> float:
     """Pairwise energy of an arbitrary configuration; +inf on coincident points."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"need s > 0, got {s!r}")
     if config.n < 2:
         raise ValueError("energy needs at least two points")

@@ -35,25 +35,18 @@ class Kernel:
 
     ``fn`` must accept positive floats (scalars or numpy arrays) in
     (0, pi] and evaluate elementwise; ``value_at_zero`` is the limit of
-    ``fn`` at 0 from the right, possibly ``math.inf``.  The three flags
-    declare structure that is assumed, not enforced, at construction;
-    :func:`validate_kernel` checks them on a grid.
+    ``fn`` at 0 from the right, possibly ``math.inf``.  The arc search
+    assumes ``fn`` non-increasing and convex, and :func:`validate_kernel`
+    checks both on a grid, with ``strictly_convex`` where it is declared.
     """
 
     fn: Callable
     value_at_zero: float
-    non_increasing: bool = True
-    convex: bool = True
     strictly_convex: bool = True
     label: str = "custom"
 
     def eval(self, theta):
-        """Evaluate at geodesic distance ``theta`` (scalar or ndarray, >= 0)."""
-        if np.ndim(theta) == 0:
-            t = float(theta)
-            if t == 0.0:
-                return self.value_at_zero
-            return float(self.fn(t))
+        """Evaluate at distance ``theta`` >= 0; a scalar gives a numpy float."""
         theta = np.asarray(theta, dtype=float)
         out = np.empty(theta.shape, dtype=float)
         zero = theta == 0.0
@@ -64,7 +57,7 @@ class Kernel:
                 out[nonzero] = self.fn(theta[nonzero])
         else:
             out[...] = self.fn(theta)
-        return out
+        return out[()]
 
     def __call__(self, theta):
         return self.eval(theta)
@@ -125,21 +118,16 @@ def power_kernel(alpha: float) -> Kernel:
 def custom_kernel(
     fn: Callable,
     value_at_zero: float,
-    non_increasing: bool = True,
-    convex: bool = True,
     strictly_convex: bool = False,
     label: str = "custom",
 ) -> Kernel:
     """Wrap a caller-supplied function on (0, pi] as a :class:`Kernel`.
 
-    Flags are recorded as declared; nothing is verified here.  Run
-    :func:`validate_kernel` to check them on a grid.
+    Nothing is verified here; :func:`validate_kernel` checks the kernel.
     """
     return Kernel(
         fn=fn,
         value_at_zero=float(value_at_zero),
-        non_increasing=non_increasing,
-        convex=convex,
         strictly_convex=strictly_convex,
         label=label,
     )
@@ -155,13 +143,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Grid check of declared kernel structure (a sanity gate, not a proof)."""
+    """Grid check of kernel structure (a sanity gate, not a proof)."""
 
     label: str
     grid_size: int
     finite: CheckResult
-    non_increasing: Optional[CheckResult]
-    convex: Optional[CheckResult]
+    non_increasing: CheckResult
+    convex: CheckResult
     strictly_convex: Optional[CheckResult]
 
     @property
@@ -189,11 +177,12 @@ def _scale_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
-    """Check the declared flags on a uniform grid of (0, pi].
+    """Check the theorem's hypotheses on a uniform grid of (0, pi].
 
     Monotonicity is checked on consecutive grid values, convexity by the
     midpoint test on consecutive grid triples (relative tolerance 1e-12);
-    strict convexity additionally requires a positive midpoint margin.
+    strict convexity, when the kernel declares it, also requires a positive
+    midpoint margin.
     """
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
@@ -209,23 +198,16 @@ def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
         finite = CheckResult(False, f"non-finite value at theta={theta[i]!r}",
                              (float(theta[i]), float(theta[i])))
 
-    non_increasing = None
-    if kernel.non_increasing:
-        non_increasing = _check_monotone(theta, values)
-
-    convex = None
     strictly_convex = None
-    if kernel.convex:
-        convex = _check_midpoint_convexity(theta, values, strict=False)
-        if kernel.strictly_convex:
-            strictly_convex = _check_midpoint_convexity(theta, values, strict=True)
+    if kernel.strictly_convex:
+        strictly_convex = _check_midpoint_convexity(theta, values, strict=True)
 
     return ValidationReport(
         label=kernel.label,
         grid_size=grid_size,
         finite=finite,
-        non_increasing=non_increasing,
-        convex=convex,
+        non_increasing=_check_monotone(theta, values),
+        convex=_check_midpoint_convexity(theta, values, strict=False),
         strictly_convex=strictly_convex,
     )
 

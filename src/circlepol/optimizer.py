@@ -41,6 +41,8 @@ class OptimizeOptions:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be at least 0")
 
 
 @dataclass(frozen=True)

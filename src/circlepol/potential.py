@@ -154,17 +154,18 @@ def minimum_on_arc(
 ) -> Tuple[float, float]:
     """Minimize the potential over the arc from ``start`` spanning ``length``.
 
-    Returns ``(angle, value)``; gap ``k`` of ``config`` is the arc from
-    ``config.angles[k]`` spanning ``config.gaps[k]``.  A zero-length arc
-    evaluates the single point.  Raises ``ValueError`` when a node of
+    Returns ``(angle, value)``, the angle in [0, 2*pi); gap ``k`` of
+    ``config`` is the arc from ``config.angles[k]`` spanning
+    ``config.gaps[k]``.  A zero-length arc evaluates the single point.
+    Raises ``ValueError`` on a non-finite or negative arc, or when a node of
     ``config`` lies inside the arc, more than ``ANGLE_TOL`` from both ends:
     the potential need not be convex there.
     """
+    if not (math.isfinite(start) and 0.0 <= length < math.inf):
+        raise ValueError(f"need finite start, length >= 0: {start!r}, {length!r}")
     offsets = (config.angle_array - start) % TWO_PI
     if ((offsets > ANGLE_TOL) & (offsets < length - ANGLE_TOL)).any():
         raise ValueError("a node of the configuration lies inside the arc")
-    if length == 0.0:
-        return float(start), float(potential_values(kernel, config, start)[0])
     xs, vs = _minimize_on_arcs(
         kernel,
         config.angle_array,

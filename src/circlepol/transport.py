@@ -18,8 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .circle_config import TWO_PI, Configuration, _wrap
-from .errors import InvalidGapVectorsError
+from .circle_config import TWO_PI, Configuration, _wrap, config_from_gaps
 from .kernels import Kernel
 from .potential import minimum_on_arc, potential_values
 
@@ -38,6 +37,10 @@ _ZERO_TOL = 1e-12
 
 # tolerance for the solvability condition sum(beta) = 0
 _BALANCE_TOL = 1e-10
+
+
+class InvalidGapVectorsError(ValueError):
+    """Gap difference vector is not balanced (components must sum to zero)."""
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,10 @@ def solve_gap_system(beta) -> np.ndarray:
     componentwise nonnegative.  Runs in O(n) by two cumulative sums.
     """
     beta = np.asarray(beta, dtype=float)
-    n = beta.size
-    if n < 1:
+    if beta.size < 1:
         raise ValueError("empty gap-difference vector")
+    if not np.isfinite(beta).all():
+        raise ValueError(f"gap differences must be finite, got {beta!r}")
     if abs(beta.sum()) > _BALANCE_TOL:
         raise InvalidGapVectorsError(
             f"invalid-gap-vectors: differences sum to {beta.sum()!r}, not 0")
@@ -129,14 +133,14 @@ def homotopy_config(source: Configuration, plan: TransportPlan, t: float) -> Con
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     if plan.n != source.n:
         raise ValueError("plan size does not match configuration")
-    gaps_t = ((1.0 - t) * np.asarray(plan.source_gaps)
-              + t * np.asarray(plan.target_gaps))
     j = plan.zero_index
-    n = source.n
-    order = np.arange(j, j + n) % n
-    anchored = source.angles[j] + np.concatenate(
-        ([0.0], np.cumsum(gaps_t[order[:-1]])))
-    return Configuration(anchored)
+    return config_from_gaps(np.roll(_stage_gaps(plan, t), -j),
+                            anchor=source.angles[j])
+
+
+def _stage_gaps(plan: TransportPlan, t: float) -> np.ndarray:
+    return ((1.0 - t) * np.asarray(plan.source_gaps)
+            + t * np.asarray(plan.target_gaps))
 
 
 def min_curve(
@@ -159,7 +163,7 @@ def min_curve(
     rows = np.empty((grid, 2))
     for i, t in enumerate(np.linspace(0.0, 1.0, grid)):
         config_t = homotopy_config(source, plan, t)
-        length_t = (1.0 - t) * plan.source_gaps[j] + t * plan.target_gaps[j]
+        length_t = _stage_gaps(plan, t)[j]
         _, value = minimum_on_arc(kernel, config_t, anchor, length_t)
         rows[i] = (t, value)
     return rows
@@ -190,10 +194,6 @@ class InequalityReport:
     def max_violation(self) -> float:
         return max(self.between_max_violation, self.complement_max_violation)
 
-    @property
-    def min_margin(self) -> float:
-        return min(self.between_min_margin, self.complement_min_margin)
-
 
 def check_pair_inequality(
     kernel: Kernel,
@@ -213,8 +213,6 @@ def check_pair_inequality(
     between_len = _wrap(z2 - z1)  # arc z1 -> z2, counterclockwise
     complement_len = TWO_PI - between_len
     coincident = between_len == 0.0
-    if coincident:
-        complement_len = TWO_PI
     if not 0.0 < eps < complement_len / 2.0:
         raise ValueError(
             f"eps must lie in (0, {complement_len / 2.0!r}), got {eps!r}")

@@ -11,11 +11,14 @@ from circlepol.asymptotics import (
     dominant_term,
     zeta_real,
 )
+from circlepol.circle_config import equally_spaced
 from circlepol.exact_series import (
     bernoulli_numbers,
     exact_polarization_polynomial,
     zeta_even_exact,
 )
+from circlepol.kernels import riesz_kernel
+from circlepol.potential import polarization
 
 # Apery's constant, zeta(3), to full double precision.
 ZETA_3 = 1.2020569031595942854
@@ -144,7 +147,22 @@ def test_dominant_term_rejects_bad_arguments():
     with pytest.raises(ValueError):
         dominant_term(-0.5, 4)
     with pytest.raises(ValueError):
+        dominant_term(math.nan, 4)
+    with pytest.raises(ValueError):
         dominant_term(2.0, 0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_next_order_terms_at_s_one(n):
+    # P(n) = (n/pi)(ln n + gamma + ln(8/pi)) + pi/(144 n) + c3/n^3 + O(n^-5)
+    # (Brauchart-Hardin-Saff, Bull. LMS 41, 2009), with c3 = -49 pi^3/345600
+    # as a 50-digit mpmath sum confirms.  Past n = 128 the rounding of P
+    # swamps the n^-3 residual.
+    value = polarization(riesz_kernel(1), equally_spaced(n)).value
+    leading = n / math.pi * (math.log(n) + 0.5772156649015329
+                             + math.log(8.0 / math.pi))
+    residual = n ** 3 * (value - leading - math.pi / (144.0 * n))
+    assert residual == pytest.approx(-49.0 * math.pi ** 3 / 345600.0, rel=0.02)
 
 
 def test_classify_regime_boundary_tolerance():

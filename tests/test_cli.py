@@ -127,6 +127,13 @@ def test_optimize_small_case(capsys):
     assert len(payload["best_angles"]) == 3
 
 
+def test_optimize_rejects_negative_max_iters(capsys):
+    code, out, err = run(capsys, "optimize", "--kernel", "log", "--n", "3",
+                         "--max-iters", "-3")
+    assert (code, out) == (1, "")
+    assert "max_iters" in err
+
+
 # ---------------------------------------------------------------------------
 # transport
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ def test_energy_validation():
         energy_equally_spaced(0.0, 4)
     with pytest.raises(ValueError):
         energy_equally_spaced(-1.0, 4)
+    with pytest.raises(ValueError):
+        energy_equally_spaced(math.nan, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -123,5 +125,7 @@ def test_config_energy_coincident_points_is_infinite():
 def test_config_energy_validation():
     with pytest.raises(ValueError):
         config_energy(0.0, equally_spaced(3))
+    with pytest.raises(ValueError):
+        config_energy(math.nan, equally_spaced(3))
     with pytest.raises(ValueError):
         config_energy(2.0, Configuration([1.0]))

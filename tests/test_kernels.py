@@ -1,13 +1,14 @@
 """Kernel factories, evaluation conventions, and the shape validator."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (custom_kernel, log_kernel, power_kernel, riesz_kernel,
-                       validate_kernel)
+from circlepol import (Kernel, custom_kernel, log_kernel, power_kernel,
+                       riesz_kernel, validate_kernel)
 
 
 def chord(theta):
@@ -55,7 +56,9 @@ def test_eval_vectorized_matches_scalar():
     got = k.eval(thetas)
     assert got.shape == thetas.shape
     for idx in np.ndindex(thetas.shape):
-        assert got[idx] == k(float(thetas[idx]))
+        scalar = k(float(thetas[idx]))
+        assert isinstance(scalar, np.float64)
+        assert scalar == got[idx]
 
 
 def test_factory_parameter_validation():
@@ -89,6 +92,15 @@ def test_validator_flags_concave_kernel():
     report = validate_kernel(k, grid_size=256)
     assert report.non_increasing.passed
     assert not report.convex.passed
+    assert report.failures == ("convex",)
+
+
+def test_no_kernel_can_declare_the_hypotheses_away():
+    # monotonicity and convexity are checked on every kernel, never declared
+    names = [f.name for f in dataclasses.fields(Kernel)]
+    assert names == ["fn", "value_at_zero", "strictly_convex", "label"]
+    with pytest.raises(TypeError):
+        custom_kernel(lambda t: -(t ** 2), 0.0, convex=False)
 
 
 def test_linear_kernel_is_convex_but_not_strictly():

@@ -106,6 +106,10 @@ def test_maximize_validation():
         maximize_polarization(riesz_kernel(2.0), 0)
     with pytest.raises(ValueError):
         OptimizeOptions(restarts=0)
+    with pytest.raises(ValueError):
+        OptimizeOptions(max_iters=-3)
+    assert maximize_polarization(riesz_kernel(2.0), 3, OptimizeOptions(
+        restarts=1, max_iters=0)).per_restart[0].iterations == 0
 
 
 @pytest.mark.parametrize("kernel", [log_kernel(), riesz_kernel(1.0),

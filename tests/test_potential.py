@@ -88,6 +88,23 @@ def test_minimum_on_arc_rejects_arc_over_a_node():
     assert x == pytest.approx(math.pi / 4, abs=1e-9)
 
 
+@pytest.mark.parametrize("start, length", [
+    (math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan), (0.5, math.inf),
+    (0.5, -1.0),
+])
+def test_minimum_on_arc_rejects_a_non_finite_or_negative_arc(start, length):
+    with pytest.raises(ValueError, match="finite"):
+        minimum_on_arc(riesz_kernel(2), equally_spaced(3), start, length)
+
+
+def test_zero_length_arc_evaluates_the_wrapped_point():
+    c = random_config(np.random.default_rng(13), 5)
+    k = riesz_kernel(2)
+    x, v = minimum_on_arc(k, c, -1e-13, 0.0)
+    assert x == -1e-13 % TWO_PI
+    assert v == potential_values(k, c, -1e-13)[0]
+
+
 @pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel()],
                          ids=lambda k: k.label)
 def test_minimum_on_arc_matches_polarization_bit_for_bit(kernel):

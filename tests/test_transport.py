@@ -99,6 +99,15 @@ def test_solver_input_validation():
         solve_transport(equally_spaced(3), equally_spaced(4))
 
 
+@pytest.mark.parametrize("beta", [
+    [math.nan, 0.0], [math.nan, 1.0, -1.0], [math.inf, -math.inf],
+    [1.0, math.inf, 0.0],
+])
+def test_solver_rejects_non_finite_differences(beta):
+    with pytest.raises(ValueError, match="finite"):
+        solve_gap_system(beta)
+
+
 def test_homotopy_endpoints_and_interpolation():
     src = config_from_gaps([math.pi, math.pi / 2, math.pi / 2])
     plan = solve_transport(src, equally_spaced(3))
