@@ -76,8 +76,14 @@ class OptimizeResult:
 
 
 def project_gaps(x: np.ndarray) -> np.ndarray:
-    """Nearest valid gap vector: clip negatives, rescale to sum 2*pi."""
-    g = np.clip(np.asarray(x, dtype=float), 0.0, None)
+    """Nearest valid gap vector: clip negatives, rescale to sum 2*pi.
+
+    Raises ``ValueError`` on a non-finite entry.
+    """
+    g = np.asarray(x, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError(f"gaps must be finite, got {g!r}")
+    g = np.clip(g, 0.0, None)
     total = g.sum()
     if total <= 0.0:
         return np.full(g.size, TWO_PI / g.size)

@@ -4,9 +4,9 @@ The potential of a configuration at a point is the sum of kernel values of
 the geodesic distances to every node.  For nonincreasing convex kernels the
 potential restricted to one gap between consecutive nodes is convex, since
 the geodesic distance is concave inside a gap.  Its derivative therefore
-changes sign once on the gap, so each gap is searched by bisecting the sign
-of the derivative, and the global minimum (the polarization of the
-configuration) is the best of the per-gap minima.
+changes sign once on the gap, so each gap is searched for that sign change
+by safeguarded secant steps, and the global minimum (the polarization of
+the configuration) is the best of the per-gap minima.
 """
 
 from __future__ import annotations
@@ -36,9 +36,18 @@ WITNESS_TOL = 1e-9
 # congruent arcs of an n-term sum differ by a few n * eps * |value|
 _WITNESS_ROUNDING = 32 * np.finfo(float).eps
 
-# halvings of each arc's bracket: the minimizer lands within 2**-33 of the
-# arc, and near the minimum the value moves by the square of that
-_BISECTIONS = 32
+# the bracket certificate: an arc is done once its bracket is at most
+# 2**-_CERTIFIED_BITS of the arc wide.  The midpoint then lies within 2**-33
+# of the arc of the minimizer, and near the minimum the value moves by the
+# square of that.
+_CERTIFIED_BITS = 32
+
+# a slope this small against its summed absolute terms has no certain sign.
+# Kernels computed from the chord carry its relative rounding, so f(d +- h)
+# is off by about eps * d * |f'(d)|.  _slope_terms divides the difference of
+# two such values by 2h = 1.2e-5 * d, so each term is off by about
+# 2 * eps / 1.2e-5 = 3.7e-11 of its size; this is three times that.
+_SLOPE_NOISE = 1e-10
 
 # chunk large evaluation batches to bound memory (floats per distance matrix)
 _CHUNK_BUDGET = 4_000_000
@@ -54,16 +63,19 @@ def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
 
 
 def _row_sums(terms, kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``terms(kernel, nodes, z)`` summed over the nodes, in bounded chunks."""
+    """``terms(kernel, nodes, z)`` summed over the nodes, in bounded chunks.
+
+    The nodes run along the last axis of ``terms``; leading axes that stack
+    several kinds of terms carry through to the result.
+    """
     n = nodes.size
     if z.size * n <= _CHUNK_BUDGET:
         return terms(kernel, nodes, z).sum(axis=-1)
     flat = z.reshape(-1)
-    out = np.empty(flat.size)
     step = max(1, _CHUNK_BUDGET // n)
-    for i in range(0, flat.size, step):
-        out[i:i + step] = terms(kernel, nodes, flat[i:i + step]).sum(axis=-1)
-    return out.reshape(z.shape)
+    sums = [terms(kernel, nodes, flat[i:i + step]).sum(axis=-1)
+            for i in range(0, flat.size, step)]
+    return np.concatenate(sums, axis=-1).reshape(sums[0].shape[:-1] + z.shape)
 
 
 def _potential_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -106,6 +118,12 @@ class PolarizationResult:
     per_arc_minima: Tuple[Tuple[int, float, float], ...]
 
 
+def _slopes_and_sizes(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Slope terms at each probe, stacked over their absolute values."""
+    terms = _slope_terms(kernel, nodes, z)
+    return np.stack((terms, np.abs(terms)))
+
+
 def _minimize_on_arcs(
     kernel: Kernel,
     nodes: np.ndarray,
@@ -114,32 +132,71 @@ def _minimize_on_arcs(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the potential on each node-free arc ``[starts, starts + lengths]``.
 
-    The potential is convex on such an arc, so its derivative changes sign
-    once there.  Every bracket is halved ``_BISECTIONS`` times on the sign
-    of the derivative at its midpoint, all arcs at once, and the potential
-    is evaluated at the final midpoints.  A bracket whose midpoint rounds
-    onto one of its ends stops, so no probe lands on a node.  Returns the
-    minimizing angles (wrapped to [0, 2*pi)) and the minimum values.
-    Raises ``ValueError`` when the kernel yields NaN at any evaluated point.
+    The potential is convex on such an arc, so its derivative rises through
+    zero once there.  Each arc keeps a bracket of that root, all arcs at
+    once.  The first probe is the midpoint.  Once the derivative is known at
+    both ends of a bracket, the next probe is the Anderson-Bjorck secant
+    point (Anderson and Bjorck, BIT 13, 1973), at least one float inside the
+    bracket; until then, the midpoint.  Like Brent's method, the engine
+    halves a bracket when the secant steps stop shrinking it: after k probes
+    a bracket wider than 2**(_CERTIFIED_BITS - k) of its arc is halved, so
+    every arc is done within 2 * _CERTIFIED_BITS + 1 probes.  An arc is
+    done, and leaves the active set, when its slope is zero or below its
+    rounding noise (the argmin is that probe), when its slope is NaN (the
+    probe again), or when its bracket is certified or has no float inside
+    (the argmin is the bracket's midpoint, kept inside the open arc so it is
+    no node).  Returns the minimizing angles (wrapped to [0, 2*pi)) and the
+    minimum values.  Raises ``ValueError`` when the kernel yields NaN at any
+    evaluated point.
     """
+    m = starts.size
     ends = starts + lengths
     lo, hi = starts.copy(), ends.copy()
-    for _ in range(_BISECTIONS):
+    # the arc's own ends are nodes and are never probed: their slopes count
+    # as unknown until a probe replaces them
+    s_lo, s_hi = np.full(m, -np.inf), np.full(m, np.inf)
+    hi_moved = np.zeros(m, dtype=bool)  # which end the last probe replaced
+    z = np.empty(m)
+    done = np.zeros(m, dtype=bool)
+    certified = lengths * 2.0 ** -_CERTIFIED_BITS
+    for k in range(2 * _CERTIFIED_BITS + 1):
         mid = 0.5 * (lo + hi)
-        live = np.nonzero((lo < mid) & (mid < hi))[0]
+        closed = ~done & ((hi - lo <= certified) | ~((lo < mid) & (mid < hi)))
+        z[closed] = mid[closed]
+        done |= closed
+        live = np.nonzero(~done)[0]
         if live.size == 0:
             break
+        a, b, fa, fb = lo[live], hi[live], s_lo[live], s_hi[live]
         # next to both ends of a tiny arc the kernel or its slope can
-        # overflow; inf - inf gives no direction, so that bracket stays put
+        # overflow; inf - inf gives no direction, so that arc stops
         with np.errstate(invalid="ignore", over="ignore"):
-            slope = _row_sums(_slope_terms, kernel, nodes, mid[live])
-        up, down = live[slope >= 0.0], live[slope < 0.0]
-        hi[up] = mid[up]
-        lo[down] = mid[down]
+            p = np.clip(b - fb * ((b - a) / (fb - fa)),
+                        np.nextafter(a, b), np.nextafter(b, a))
+            secant = (np.isfinite(fa) & np.isfinite(fb)
+                      & (b - a <= lengths[live] * 2.0 ** (_CERTIFIED_BITS - k)))
+            p = np.where(secant, p, mid[live])
+            slope, size = _row_sums(_slopes_and_sizes, kernel, nodes, p)
+            flat = np.isnan(slope) | (np.isfinite(size)
+                                      & (np.abs(slope) <= _SLOPE_NOISE * size))
+            # Anderson-Bjorck: an end kept twice in a row has its slope
+            # scaled down, so the next secant point moves toward it
+            up = slope > 0.0
+            ratio = 1.0 - slope / np.where(up, fb, fa)
+            shrink = np.where(hi_moved[live] == up,
+                              np.where(ratio > 0.0, ratio, 0.5), 1.0)
+            s_lo[live] = np.where(up, fa * shrink, slope)
+            s_hi[live] = np.where(up, slope, fb * shrink)
+        z[live[flat]] = p[flat]
+        done[live[flat]] = True
+        lo[live] = np.where(up, a, p)
+        hi[live] = np.where(up, p, b)
+        hi_moved[live] = up
+    rest = ~done
+    z[rest] = 0.5 * (lo[rest] + hi[rest])
     # the midpoint of a bracket one float wide rounds onto an end, which may
     # be a node: keep it inside wherever the arc has an interior float
-    z = np.clip(0.5 * (lo + hi), np.nextafter(starts, ends),
-                np.nextafter(ends, starts))
+    z = np.clip(z, np.nextafter(starts, ends), np.nextafter(ends, starts))
     values = _row_sums(_potential_terms, kernel, nodes, z)
     if np.isnan(values).any():
         raise ValueError("kernel returned NaN inside an arc")

@@ -131,16 +131,21 @@ def homotopy_config(source: Configuration, plan: TransportPlan, t: float) -> Con
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    if plan.n != source.n:
-        raise ValueError("plan size does not match configuration")
-    j = plan.zero_index
-    return config_from_gaps(np.roll(_stage_gaps(plan, t), -j),
-                            anchor=source.angles[j])
+    return _stage_config(source, plan, _stage_gaps(plan, t))
 
 
 def _stage_gaps(plan: TransportPlan, t: float) -> np.ndarray:
     return ((1.0 - t) * np.asarray(plan.source_gaps)
             + t * np.asarray(plan.target_gaps))
+
+
+def _stage_config(source: Configuration, plan: TransportPlan,
+                  gaps: np.ndarray) -> Configuration:
+    """The stage with gap vector ``gaps``; the plan's anchor point stays put."""
+    if plan.n != source.n:
+        raise ValueError("plan size does not match configuration")
+    j = plan.zero_index
+    return config_from_gaps(np.roll(gaps, -j), anchor=source.angles[j])
 
 
 def min_curve(
@@ -162,9 +167,9 @@ def min_curve(
     anchor = source.angles[j]
     rows = np.empty((grid, 2))
     for i, t in enumerate(np.linspace(0.0, 1.0, grid)):
-        config_t = homotopy_config(source, plan, t)
-        length_t = _stage_gaps(plan, t)[j]
-        _, value = minimum_on_arc(kernel, config_t, anchor, length_t)
+        gaps = _stage_gaps(plan, t)
+        config_t = _stage_config(source, plan, gaps)
+        _, value = minimum_on_arc(kernel, config_t, anchor, gaps[j])
         rows[i] = (t, value)
     return rows
 
@@ -205,10 +210,15 @@ def check_pair_inequality(
     """Compare the two-point potential before and after an ``eps`` spread.
 
     ``z1`` moves clockwise and ``z2`` counterclockwise.  A coincident pair
-    has an empty in-between arc (only the complement is sampled).
+    has an empty in-between arc (only the complement is sampled).  Raises
+    ``ValueError`` on a non-finite angle or an ``eps`` outside (0, half the
+    complement).
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    for name, z in (("z1", z1), ("z2", z2)):
+        if not math.isfinite(z):
+            raise ValueError(f"{name} must be finite, got {z!r}")
     z1, z2 = _wrap(z1), _wrap(z2)
     between_len = _wrap(z2 - z1)  # arc z1 -> z2, counterclockwise
     complement_len = TWO_PI - between_len

@@ -43,6 +43,13 @@ def test_project_gaps_degenerate_all_nonpositive():
     assert np.allclose(out, TWO_PI / 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_project_gaps_rejects_a_non_finite_entry(bad):
+    # a NaN sum passes the total <= 0 check, so unchecked it would come back all NaN
+    with pytest.raises(ValueError, match="finite"):
+        project_gaps(np.array([bad, 1.0, 2.0]))
+
+
 def test_project_gaps_is_idempotent():
     rng = np.random.default_rng(5)
     x = rng.normal(size=6)

@@ -145,6 +145,80 @@ def test_gap_where_the_kernel_overflows():
     assert math.isfinite(r.value)
 
 
+def _counted(kernel):
+    """``kernel`` with a count of the calls to its function."""
+    calls = [0]
+
+    def fn(t):
+        calls[0] += 1
+        return kernel.fn(t)
+    return custom_kernel(fn, kernel.value_at_zero), calls
+
+
+def _slope_passes(kernel, config):
+    """Slope passes ``minimum_on_arc`` spends on each nonempty gap.
+
+    A pass evaluates the kernel twice, at d - h and d + h, and the final
+    value takes one more call.
+    """
+    counted, calls = _counted(kernel)
+    passes = []
+    for k, gap in enumerate(config.gaps):
+        if gap > 0.0:
+            calls[0] = 0
+            minimum_on_arc(counted, config, config.angles[k], gap)
+            passes.append((calls[0] - 1) / 2)
+    return passes
+
+
+_SMOOTH_KERNELS = [riesz_kernel(2), riesz_kernel(20), log_kernel(), power_kernel(0.5)]
+_HARD_KERNELS = _SMOOTH_KERNELS + [custom_kernel(lambda t: math.pi - t, math.pi, label="pi - t")]
+
+
+def _hard_configs():
+    """Gaps of 1 and 2 ulps, then flat-Dirichlet(0.05) gaps down to 2e-18."""
+    configs = [Configuration([3.0, np.nextafter(3.0, 4.0), 5.0]),
+               Configuration([3.0, np.nextafter(np.nextafter(3.0, 4.0), 4.0), 5.0])]
+    for seed in range(4):
+        gaps = np.random.default_rng(seed).dirichlet(np.full(24, 0.05))
+        configs.append(Configuration(TWO_PI * np.cumsum(gaps)))
+    return configs
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.parametrize("kernel", _HARD_KERNELS, ids=lambda k: k.label)
+def test_no_arc_takes_more_than_twice_the_halvings(kernel):
+    # once the secant steps stop shrinking a bracket it is halved, so no arc
+    # needs more than 2 * 32 + 1 passes; riesz:20 overflows by itself in
+    # the tiniest gaps, and the potential of pi - t is piecewise linear
+    for c in _hard_configs():
+        assert max(_slope_passes(kernel, c)) <= 2 * 32 + 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.parametrize("kernel", _SMOOTH_KERNELS, ids=lambda k: k.label)
+def test_secant_steps_take_few_slope_passes(kernel):
+    # about 7 passes per gap; without the Anderson-Bjorck scaling it takes
+    # 13 to 48 on average, and a secant point allowed to round onto a
+    # bracket end (then replaced by the midpoint) takes up to 37
+    for c in _hard_configs()[2:]:
+        passes = _slope_passes(kernel, c)
+        assert max(passes) <= 20
+        assert np.mean(passes) <= 10
+
+
+@pytest.mark.parametrize("kernel", _HARD_KERNELS, ids=lambda k: k.label)
+@pytest.mark.parametrize("n", [2, 8, 64, 256])
+def test_equal_spacing_takes_one_slope_pass(kernel, n):
+    # the first probe of every gap is its midpoint, where the slope terms
+    # cancel to rounding; with n odd a node sits at the antipode of every
+    # midpoint, and the one-sided difference quotient there does not cancel
+    counted, calls = _counted(kernel)
+    r = polarization(counted, equally_spaced(n))
+    assert calls[0] == 2 + 1
+    assert len(r.per_arc_minima) == n
+
+
 def test_polarization_equally_spaced_known_values():
     assert polarization(riesz_kernel(2), equally_spaced(2)).value == pytest.approx(1.0, rel=1e-12)
     assert polarization(riesz_kernel(4), equally_spaced(2)).value == pytest.approx(0.5, rel=1e-12)

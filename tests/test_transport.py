@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from circlepol import (TWO_PI, InvalidGapVectorsError, check_pair_inequality,
                        config_from_gaps, custom_kernel, equally_spaced,
-                       homotopy_config, min_curve, polarization, riesz_kernel,
-                       rotate, solve_gap_system, solve_transport)
+                       homotopy_config, min_curve, minimum_on_arc, polarization,
+                       riesz_kernel, rotate, solve_gap_system, solve_transport)
 from helpers import cyclic_allclose, random_config
 
 
@@ -164,6 +164,20 @@ def test_min_curve_start_bounds_polarization():
             polarization(k, equally_spaced(n)).value, abs=1e-10)
 
 
+def test_min_curve_rows_are_the_homotopy_stages_bit_for_bit():
+    # each row minimizes the stage's tracked arc, the anchor's gap
+    rng = np.random.default_rng(28)
+    k = riesz_kernel(2)
+    src = random_config(rng, 7)
+    plan = solve_transport(src, random_config(rng, 7))
+    j = plan.zero_index
+    rows = min_curve(k, src, plan, 11)
+    for t, h in rows:
+        gaps = (1.0 - t) * np.asarray(plan.source_gaps) + t * np.asarray(plan.target_gaps)
+        _, value = minimum_on_arc(k, homotopy_config(src, plan, t), src.angles[j], gaps[j])
+        assert h == value
+
+
 def test_plan_json_round_trip():
     src = config_from_gaps([math.pi, math.pi / 2, math.pi / 2])
     plan = solve_transport(src, equally_spaced(3))
@@ -205,3 +219,11 @@ def test_pair_inequality_eps_validation():
                               3 * math.pi / 4)
     with pytest.raises(ValueError):
         check_pair_inequality(riesz_kernel(2), 0.0, math.pi / 2, 0.0)
+
+
+@pytest.mark.parametrize("z1, z2, name", [
+    (math.nan, 1.0, "z1"), (0.5, math.inf, "z2"), (0.5, -math.inf, "z2"),
+])
+def test_pair_inequality_rejects_a_non_finite_angle(z1, z2, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        check_pair_inequality(riesz_kernel(2), z1, z2, 0.1)
