@@ -43,14 +43,20 @@ _WITNESS_ROUNDING = 32 * np.finfo(float).eps
 _CERTIFIED_BITS = 32
 
 # a slope this small against its summed absolute terms has no certain sign.
-# Kernels computed from the chord carry its relative rounding, so f(d +- h)
-# is off by about eps * d * |f'(d)|.  _slope_terms divides the difference of
-# two such values by 2h = 1.2e-5 * d, so each term is off by about
-# 2 * eps / 1.2e-5 = 3.7e-11 of its size; this is three times that.
+# Kernels computed from the chord carry its relative error, below 1.4 eps
+# (about 2 ulp), so f(d +- h) is off by up to about 1.4 * eps * d * |f'(d)|.
+# _slope_terms divides the difference of two such values by 2h = 1.2e-5 * d,
+# so each term is off by up to 2.8 * eps / 1.2e-5 = 5.2e-11 of its size;
+# this is twice that.
 _SLOPE_NOISE = 1e-10
 
-# chunk large evaluation batches to bound memory (floats per distance matrix)
-_CHUNK_BUDGET = 4_000_000
+# (probe, node) pairs per block of a pass.  Each temporary of a block is
+# then 32 KiB, so a pass stays in L2 and under glibc's 128 KiB mmap and trim
+# thresholds, and touches no fresh pages.  Per n = 1024 polarization call on
+# a 2-vCPU x86-64 machine: 4096 pairs took 400 ms with no minor page faults;
+# 8192 took 540-620 ms with 124k faults, 32768 took 700-750 ms with 200k;
+# 2048 took 500 ms, from numpy's fixed cost per call on a smaller block.
+_CHUNK_BUDGET = 4096
 
 
 def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
@@ -59,27 +65,29 @@ def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
     Values at a node of a singular kernel are ``+inf``.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _row_sums(_potential_terms, kernel, config.angle_array, z)
+    return _row_sums(_potential_sums, kernel, config.angle_array, z)
 
 
-def _row_sums(terms, kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``terms(kernel, nodes, z)`` summed over the nodes, in bounded chunks.
+def _row_sums(sums, kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sums(kernel, nodes, block)`` over blocks of about ``_CHUNK_BUDGET``
+    (probe, node) pairs, for the probes ``z``.
 
-    The nodes run along the last axis of ``terms``; leading axes that stack
-    several kinds of terms carry through to the result.
+    ``sums`` returns one sum per probe along its last axis; leading axes
+    that stack several kinds of sums carry through to the result.  Each row
+    is summed whole, so no result depends on the block size.
     """
-    n = nodes.size
-    if z.size * n <= _CHUNK_BUDGET:
-        return terms(kernel, nodes, z).sum(axis=-1)
     flat = z.reshape(-1)
-    step = max(1, _CHUNK_BUDGET // n)
-    sums = [terms(kernel, nodes, flat[i:i + step]).sum(axis=-1)
-            for i in range(0, flat.size, step)]
-    return np.concatenate(sums, axis=-1).reshape(sums[0].shape[:-1] + z.shape)
+    step = max(1, _CHUNK_BUDGET // nodes.size)
+    if flat.size <= step:
+        out = sums(kernel, nodes, flat)
+    else:
+        out = np.concatenate([sums(kernel, nodes, flat[i:i + step])
+                              for i in range(0, flat.size, step)], axis=-1)
+    return out.reshape(out.shape[:-1] + z.shape)
 
 
-def _potential_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return kernel.eval(np.abs(_signed_wrap(z[..., None] - nodes)))
+def _potential_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return kernel.eval(np.abs(_signed_wrap(z[:, None] - nodes))).sum(axis=-1)
 
 
 def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -87,20 +95,34 @@ def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray
 
     A row sums to the derivative of the potential at ``z``; negated, it is
     the gradient of a gap minimum at ``z`` in the node positions (Danskin).
-    f' is a central difference with a step relative to d, one-sided at 0
-    and pi.  The fixed step at d = 0 serves kernels with a finite f(0) only:
-    a probe on a node of a singular kernel gives NaN.  Raises
-    ``ValueError`` when the kernel yields NaN.
+    f' is a central difference with a step relative to d, one-sided at 0.
+    Past pi the distance folds back, so f(d + h) is f(2 pi - d - h) there
+    and the quotient at pi is symmetric, giving 0 at the antipode of a node.
+    The fixed step at d = 0 serves kernels with a finite f(0) only: a probe
+    on a node of a singular kernel gives NaN.  Raises ``ValueError`` when
+    the kernel yields NaN.
     """
     w = _signed_wrap(z[..., None] - nodes)
     d = np.abs(w)
     h = 6e-6 * np.where(d > 0.0, d, 1e-3)
     lo = np.maximum(d - h, 0.0)
-    hi = np.minimum(d + h, math.pi)
-    f_lo, f_hi = kernel.eval(lo), kernel.eval(hi)
+    hi = d + h
+    f_lo = kernel.eval(lo)
+    # d + h > 0, so f(d + h) needs none of Kernel.eval's handling of 0
+    f_hi = kernel.fn(np.minimum(hi, TWO_PI - hi))
     if np.isnan(f_lo).any() or np.isnan(f_hi).any():
         raise ValueError("kernel returned NaN")
     return (f_hi - f_lo) / (hi - lo) * np.sign(w)
+
+
+def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row sums of the slope terms at each probe, stacked over the row sums
+    of their absolute values."""
+    terms = _slope_terms(kernel, nodes, z)
+    slope = terms.sum(axis=-1)
+    # np.array builds what np.stack would at a fifth of its fixed cost,
+    # which small configurations, with their many tiny passes, pay per pass
+    return np.array((slope, np.abs(terms, out=terms).sum(axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -116,12 +138,6 @@ class PolarizationResult:
     value: float
     witnesses: Tuple[float, ...]
     per_arc_minima: Tuple[Tuple[int, float, float], ...]
-
-
-def _slopes_and_sizes(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Slope terms at each probe, stacked over their absolute values."""
-    terms = _slope_terms(kernel, nodes, z)
-    return np.stack((terms, np.abs(terms)))
 
 
 def _minimize_on_arcs(
@@ -176,7 +192,7 @@ def _minimize_on_arcs(
             secant = (np.isfinite(fa) & np.isfinite(fb)
                       & (b - a <= lengths[live] * 2.0 ** (_CERTIFIED_BITS - k)))
             p = np.where(secant, p, mid[live])
-            slope, size = _row_sums(_slopes_and_sizes, kernel, nodes, p)
+            slope, size = _row_sums(_slope_sums, kernel, nodes, p)
             flat = np.isnan(slope) | (np.isfinite(size)
                                       & (np.abs(slope) <= _SLOPE_NOISE * size))
             # Anderson-Bjorck: an end kept twice in a row has its slope
@@ -197,7 +213,7 @@ def _minimize_on_arcs(
     # the midpoint of a bracket one float wide rounds onto an end, which may
     # be a node: keep it inside wherever the arc has an interior float
     z = np.clip(z, np.nextafter(starts, ends), np.nextafter(ends, starts))
-    values = _row_sums(_potential_terms, kernel, nodes, z)
+    values = _row_sums(_potential_sums, kernel, nodes, z)
     if np.isnan(values).any():
         raise ValueError("kernel returned NaN inside an arc")
     return z % TWO_PI, values
@@ -265,5 +281,5 @@ def potential_profile(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     zs = TWO_PI * np.arange(resolution) / resolution
-    vals = _row_sums(_potential_terms, kernel, config.angle_array, zs)
+    vals = _row_sums(_potential_sums, kernel, config.angle_array, zs)
     return np.column_stack([zs, vals])

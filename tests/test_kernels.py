@@ -61,6 +61,35 @@ def test_eval_vectorized_matches_scalar():
         assert scalar == got[idx]
 
 
+@pytest.mark.parametrize("kind, s", [("riesz", 0.5), ("riesz", 2.0), ("riesz", 20.0),
+                                     ("log", 0.0), ("power", 0.5), ("power", 1.0)])
+def test_kernel_values_match_mpmath(kind, s):
+    # the chord is within about 2 ulp of 2 sin(theta/2); a power s of it has
+    # about s times its relative error; the log kernel's error is absolute
+    mpmath = pytest.importorskip("mpmath")
+    kernel = {"riesz": riesz_kernel, "log": lambda _: log_kernel(),
+              "power": power_kernel}[kind](s)
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([rng.uniform(0.0, math.pi, 1000),
+                            10.0 ** rng.uniform(-12.0, 0.0, 500),
+                            math.pi - 10.0 ** rng.uniform(-15.0, 0.0, 500),
+                            [math.pi]])
+    theta = theta[theta > 0.0]
+    got = kernel.eval(theta)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for t, g in zip(theta.tolist(), got.tolist()):
+            chord = 2 * mpmath.sin(mpmath.mpf(t) / 2)
+            if kind == "riesz":
+                exact, scale = chord ** -s, 0.0
+            elif kind == "log":
+                exact, scale = -mpmath.log(chord), 1.0
+            else:
+                exact, scale = -(chord ** s), 0.0
+            bound = 4 * eps * (1 + s) * max(abs(exact), scale)
+            assert abs(g - exact) <= bound, (t, g, exact)
+
+
 def test_factory_parameter_validation():
     with pytest.raises(ValueError):
         riesz_kernel(0.0)

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from circlepol import (TWO_PI, Configuration, custom_kernel, equally_spaced,
-                       log_kernel, minimum_on_arc, polarization,
+                       log_kernel, minimum_on_arc, polarization, potential,
                        potential_profile, potential_values, power_kernel,
                        riesz_kernel, rotate)
 from helpers import dense_scan_minimum, random_config
@@ -146,28 +146,28 @@ def test_gap_where_the_kernel_overflows():
 
 
 def _counted(kernel):
-    """``kernel`` with a count of the calls to its function."""
-    calls = [0]
+    """``kernel`` with a count of the points its function evaluates."""
+    points = [0]
 
     def fn(t):
-        calls[0] += 1
+        points[0] += np.size(t)
         return kernel.fn(t)
-    return custom_kernel(fn, kernel.value_at_zero), calls
+    return custom_kernel(fn, kernel.value_at_zero), points
 
 
 def _slope_passes(kernel, config):
     """Slope passes ``minimum_on_arc`` spends on each nonempty gap.
 
-    A pass evaluates the kernel twice, at d - h and d + h, and the final
-    value takes one more call.
+    A pass evaluates the kernel twice per node, at d - h and d + h, and the
+    final value once more.
     """
-    counted, calls = _counted(kernel)
+    counted, points = _counted(kernel)
     passes = []
     for k, gap in enumerate(config.gaps):
         if gap > 0.0:
-            calls[0] = 0
+            points[0] = 0
             minimum_on_arc(counted, config, config.angles[k], gap)
-            passes.append((calls[0] - 1) / 2)
+            passes.append((points[0] / config.n - 1) / 2)
     return passes
 
 
@@ -208,15 +208,43 @@ def test_secant_steps_take_few_slope_passes(kernel):
 
 
 @pytest.mark.parametrize("kernel", _HARD_KERNELS, ids=lambda k: k.label)
-@pytest.mark.parametrize("n", [2, 8, 64, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 65, 255, 256])
 def test_equal_spacing_takes_one_slope_pass(kernel, n):
     # the first probe of every gap is its midpoint, where the slope terms
     # cancel to rounding; with n odd a node sits at the antipode of every
-    # midpoint, and the one-sided difference quotient there does not cancel
-    counted, calls = _counted(kernel)
+    # midpoint, where the difference quotient is symmetric about pi.  Blocks
+    # split a pass into several calls, so the count is of evaluated points:
+    # two per (gap, node) pair and pass, and one more for the final value
+    counted, points = _counted(kernel)
     r = polarization(counted, equally_spaced(n))
-    assert calls[0] == 2 + 1
+    assert points[0] == (2 + 1) * n * n
     assert len(r.per_arc_minima) == n
+
+
+@pytest.mark.parametrize("kernel", _HARD_KERNELS, ids=lambda k: k.label)
+def test_single_point_witness_is_the_antipode(kernel):
+    # U' passes through 0 at pi instead of jumping there, so the first probe
+    # of the one gap, its midpoint, is the minimizer
+    r = polarization(kernel, Configuration([0.0]))
+    assert r.witnesses == (math.pi,)
+    assert r.value == kernel.eval(math.pi)
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel()],
+                         ids=lambda k: k.label)
+def test_results_do_not_depend_on_the_block_size(kernel, monkeypatch):
+    # every row is summed whole, whether a block holds one row or them all
+    rng = np.random.default_rng(300)
+    c = random_config(rng, 300)
+    z = rng.uniform(0.0, TWO_PI, (30, 20))
+    results = []
+    for budget in (1, 10**9):
+        monkeypatch.setattr(potential, "_CHUNK_BUDGET", budget)
+        results.append((polarization(kernel, c), potential_values(kernel, c, z)))
+    (r1, v1), (r2, v2) = results
+    assert r1 == r2
+    assert v1.shape == z.shape
+    assert np.array_equal(v1, v2)
 
 
 def test_polarization_equally_spaced_known_values():
