@@ -5,8 +5,11 @@ The headline computation: for any nonincreasing convex kernel of the
 geodesic distance, equally spaced points maximize the minimum of the
 potential over the circle.  This package evaluates such potentials, finds
 their minima, constructs the gap transport and homotopy underlying that
-fact, and provides exact rational closed forms, energy identities, and
-asymptotics for the inverse-power kernels.
+fact, and provides energy identities, asymptotics, and, for the even
+inverse-power exponents, exact rational closed forms from even zeta values
+and the Taylor coefficients of powers of sinc.  Every search for a minimum
+refuses a kernel that is not non-increasing and convex on the grid of
+``validate_kernel``; evaluating a potential takes any kernel.
 """
 
 from .asymptotics import asymptotic_ratio, dominant_term, zeta_real
@@ -14,10 +17,8 @@ from .circle_config import (TWO_PI, Configuration, config_from_gaps,
                             config_from_json, config_to_json, equally_spaced,
                             geodesic_distance, load_config_file, reflect,
                             rotate)
-from .energy import config_energy, energy_equally_spaced, polarization_via_energy
-from .exact_series import (ExactPolynomial, RationalSeries, bernoulli_numbers,
-                           exact_polarization_polynomial,
-                           generalized_bernoulli_value, log_sinc_series,
+from .energy import energy_equally_spaced, polarization_via_energy
+from .exact_series import (ExactPolynomial, exact_polarization_polynomial,
                            sinc_power_coefficients, zeta_even_exact)
 from .kernels import (CheckResult, Kernel, ValidationReport, custom_kernel,
                       log_kernel, power_kernel, riesz_kernel, validate_kernel)
@@ -43,15 +44,12 @@ __all__ = [
     "OptimizeOptions",
     "OptimizeResult",
     "PolarizationResult",
-    "RationalSeries",
     "RestartRecord",
     "StrictnessReport",
     "TransportPlan",
     "ValidationReport",
     "asymptotic_ratio",
-    "bernoulli_numbers",
     "check_pair_inequality",
-    "config_energy",
     "config_from_gaps",
     "config_from_json",
     "config_to_json",
@@ -60,12 +58,10 @@ __all__ = [
     "energy_equally_spaced",
     "equally_spaced",
     "exact_polarization_polynomial",
-    "generalized_bernoulli_value",
     "geodesic_distance",
     "homotopy_config",
     "load_config_file",
     "log_kernel",
-    "log_sinc_series",
     "maximize_polarization",
     "min_curve",
     "minimum_on_arc",

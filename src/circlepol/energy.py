@@ -1,5 +1,5 @@
-"""Pairwise inverse-power energy on the circle and the energy route to
-polarization.
+"""Pairwise inverse-power energy of equally spaced points and the energy
+route to polarization.
 
 For equally spaced points the double sum collapses to a single sum over
 chord lengths, and the polarization of n equally spaced points equals the
@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle_config import Configuration
-
 __all__ = [
     "energy_equally_spaced",
     "polarization_via_energy",
-    "config_energy",
 ]
 
 
@@ -44,18 +41,3 @@ def polarization_via_energy(s: float, n: int) -> float:
     doubled = energy_equally_spaced(s, 2 * n) / (2 * n)
     single = 0.0 if n == 1 else energy_equally_spaced(s, n) / n
     return doubled - single
-
-
-def config_energy(s: float, config: Configuration) -> float:
-    """Pairwise energy of an arbitrary configuration; +inf on coincident points."""
-    if not s > 0.0:
-        raise ValueError(f"need s > 0, got {s!r}")
-    if config.n < 2:
-        raise ValueError("energy needs at least two points")
-    theta = config.angle_array
-    i, j = np.triu_indices(config.n, k=1)
-    chords = 2.0 * np.abs(np.sin((theta[i] - theta[j]) / 2.0))
-    with np.errstate(divide="ignore"):
-        terms = chords ** (-s)
-    return float(2.0 * terms.sum())
-

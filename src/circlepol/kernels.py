@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -36,8 +37,9 @@ class Kernel:
     ``fn`` must accept positive floats (scalars or numpy arrays) in
     (0, pi] and evaluate elementwise; ``value_at_zero`` is the limit of
     ``fn`` at 0 from the right, possibly ``math.inf``.  The arc search
-    assumes ``fn`` non-increasing and convex, and :func:`validate_kernel`
-    checks both on a grid, with ``strictly_convex`` where it is declared.
+    rests on ``fn`` being non-increasing and convex: it refuses a kernel
+    whose :func:`validate_kernel` report fails either check, and computes
+    that report once per kernel.
     """
 
     fn: Callable
@@ -61,6 +63,10 @@ class Kernel:
 
     def __call__(self, theta):
         return self.eval(theta)
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return validate_kernel(self)
 
 
 def _chord(theta):
@@ -137,7 +143,8 @@ def custom_kernel(
 ) -> Kernel:
     """Wrap a caller-supplied function on (0, pi] as a :class:`Kernel`.
 
-    Nothing is verified here; :func:`validate_kernel` checks the kernel.
+    Nothing is verified here; the arc search checks the kernel with
+    :func:`validate_kernel` on first use.
     """
     return Kernel(
         fn=fn,
@@ -202,7 +209,9 @@ def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
 
     theta = np.pi * np.arange(1, grid_size + 1) / grid_size
-    values = kernel.eval(theta)
+    # a value past the float range is +inf, which the hypotheses allow
+    with np.errstate(over="ignore"):
+        values = kernel.eval(theta)
 
     finite_mask = np.isfinite(values)
     if finite_mask.all():

@@ -140,6 +140,20 @@ class PolarizationResult:
     per_arc_minima: Tuple[Tuple[int, float, float], ...]
 
 
+def _check_hypotheses(kernel: Kernel) -> None:
+    # the hypotheses the arc search rests on.  A kernel may be +inf, so
+    # ``finite`` is not one of them, and strict convexity bears only on
+    # uniqueness.
+    report = kernel._report
+    failed = [f"{name} ({check.detail})" for name, check in (
+        ("non_increasing", report.non_increasing), ("convex", report.convex))
+        if not check.passed]
+    if failed:
+        raise ValueError(f"kernel {kernel.label!r} fails "
+                         + "; ".join(failed)
+                         + ": the potential need not be convex on a gap")
+
+
 def _minimize_on_arcs(
     kernel: Kernel,
     nodes: np.ndarray,
@@ -162,9 +176,11 @@ def _minimize_on_arcs(
     probe again), or when its bracket is certified or has no float inside
     (the argmin is the bracket's midpoint, kept inside the open arc so it is
     no node).  Returns the minimizing angles (wrapped to [0, 2*pi)) and the
-    minimum values.  Raises ``ValueError`` when the kernel yields NaN at any
-    evaluated point.
+    minimum values.  Raises ``ValueError`` when the kernel fails the
+    non_increasing or convex check of :func:`validate_kernel`, or yields NaN
+    at any evaluated point.
     """
+    _check_hypotheses(kernel)
     m = starts.size
     ends = starts + lengths
     lo, hi = starts.copy(), ends.copy()

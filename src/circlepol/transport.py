@@ -59,10 +59,6 @@ class TransportPlan:
     def n(self) -> int:
         return len(self.deltas)
 
-    @property
-    def max_delta(self) -> float:
-        return max(self.deltas)
-
     @cached_property
     def zero_index(self) -> int:
         """Smallest index whose component is zero (the homotopy anchor)."""

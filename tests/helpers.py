@@ -1,8 +1,11 @@
 """Shared test utilities: random configurations and brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 
-from circlepol import TWO_PI, Configuration, config_from_gaps, potential_values
+from circlepol import (TWO_PI, Configuration, config_from_gaps, potential_values,
+                       sinc_power_coefficients)
 
 
 def random_config(rng, n, min_sep=0.0, rotate=True):
@@ -36,3 +39,28 @@ def cyclic_allclose(got, want, atol=1e-9):
         np.allclose(got, np.roll(want, r), rtol=0.0, atol=atol)
         for r in range(got.size)
     )
+
+
+def assert_sinc_power_matches_taylor(mpmath, s, order):
+    """``sinc_power_coefficients(s, order)`` against ``mpmath.taylor`` of
+    sinc(pi z)**(-s) at 60 digits, which knows nothing of the recurrence.
+
+    ``mpmath`` is passed in, so each caller decides whether its absence
+    skips or fails.  Coefficient j, divided by pi**(2j), must match within
+    1e-40 relative and have a denominator below 1e18.  Every coefficient
+    checked is below 2, and two distinct fractions with such denominators
+    differ by more than 1e-36, so the match pins the fraction exactly.
+    """
+    s = Fraction(s)
+    coeffs = sinc_power_coefficients(s, order=order)
+    assert len(coeffs) == order + 1
+    with mpmath.workdps(60):
+        exponent = mpmath.mpf(s.numerator) / s.denominator
+        taylor = mpmath.taylor(lambda z: mpmath.sincpi(z) ** -exponent,
+                               0, 2 * order)
+        for j, (rational, grade) in enumerate(coeffs):
+            assert grade == 2 * j
+            assert rational.denominator < 10 ** 18, (s, j)
+            want = taylor[2 * j] / mpmath.pi ** (2 * j)
+            got = mpmath.mpf(rational.numerator) / rational.denominator
+            assert abs(got - want) <= 1e-40 * abs(want), (s, j)

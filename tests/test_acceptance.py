@@ -12,18 +12,14 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from circlepol.asymptotics import asymptotic_ratio, zeta_real
 from circlepol.circle_config import TWO_PI, equally_spaced
 from circlepol.energy import polarization_via_energy
-from circlepol.exact_series import (
-    exact_polarization_polynomial,
-    generalized_bernoulli_value,
-    sinc_power_coefficients,
-    zeta_even_exact,
-)
+from circlepol.exact_series import exact_polarization_polynomial, zeta_even_exact
 from circlepol.kernels import log_kernel, riesz_kernel
 from circlepol.optimizer import maximize_polarization
 from circlepol.potential import minimum_on_arc, polarization
@@ -34,7 +30,8 @@ from circlepol.transport import (
     solve_transport,
 )
 
-from helpers import random_config, sup_gap_deviation
+from helpers import (assert_sinc_power_matches_taylor, random_config,
+                     sup_gap_deviation)
 
 
 def _check_budget(start: float, seconds: float) -> None:
@@ -196,15 +193,8 @@ def test_criterion_08_log_kernel_optimizer_reaches_log_two():
 
 def test_criterion_09_exact_series_cross_checks():
     start = time.perf_counter()
-    for s in range(1, 9):
-        direct = sinc_power_coefficients(s, order=4)
-        for j in range(5):
-            value = generalized_bernoulli_value(2 * j, s, Fraction(s, 2),
-                                                order=2 * j)
-            alt = (Fraction((-1) ** j) * value
-                   / Fraction(math.factorial(2 * j))
-                   * Fraction(4) ** j)
-            assert direct[j] == (alt, 2 * j), (s, j)
+    for s in [*range(1, 9), Fraction(7, 3), Fraction(1, 2)]:
+        assert_sinc_power_matches_taylor(mpmath, s, order=8)
     for k in range(1, 7):
         exact = float(zeta_even_exact(k)) * math.pi ** (2 * k)
         assert math.isclose(zeta_real(2.0 * k), exact, rel_tol=1e-12), k

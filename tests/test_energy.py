@@ -7,12 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from circlepol.circle_config import TWO_PI, Configuration, equally_spaced
-from circlepol.energy import (
-    config_energy,
-    energy_equally_spaced,
-    polarization_via_energy,
-)
+from circlepol.circle_config import TWO_PI, equally_spaced
+from circlepol.energy import energy_equally_spaced, polarization_via_energy
 from circlepol.kernels import riesz_kernel
 from circlepol.potential import polarization
 
@@ -98,34 +94,3 @@ def test_energy_identity_exact_polynomial_case():
 def test_polarization_via_energy_validation():
     with pytest.raises(ValueError):
         polarization_via_energy(2.0, 0)
-
-
-# ---------------------------------------------------------------------------
-# config_energy
-# ---------------------------------------------------------------------------
-
-
-def test_config_energy_antipodal_pair():
-    config = Configuration([0.0, np.pi])
-    assert math.isclose(config_energy(2.0, config), 0.5, rel_tol=1e-14)
-
-
-def test_config_energy_matches_equally_spaced_formula():
-    for n in (2, 5, 9):
-        config = equally_spaced(n)
-        assert math.isclose(config_energy(1.3, config),
-                            energy_equally_spaced(1.3, n), rel_tol=1e-12)
-
-
-def test_config_energy_coincident_points_is_infinite():
-    config = Configuration([0.5, 0.5, 2.0])
-    assert config_energy(2.0, config) == np.inf
-
-
-def test_config_energy_validation():
-    with pytest.raises(ValueError):
-        config_energy(0.0, equally_spaced(3))
-    with pytest.raises(ValueError):
-        config_energy(math.nan, equally_spaced(3))
-    with pytest.raises(ValueError):
-        config_energy(2.0, Configuration([1.0]))

@@ -1,21 +1,30 @@
-"""Exact rational machinery: Bernoulli numbers, zeta values, series algebra,
+"""Exact rational machinery: Bernoulli numbers, zeta values, powers of sinc,
 and the closed-form polarization polynomials."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
-from circlepol import (ExactPolynomial, RationalSeries, bernoulli_numbers,
-                       equally_spaced,
-                       exact_polarization_polynomial,
-                       generalized_bernoulli_value, log_sinc_series,
-                       polarization, riesz_kernel, sinc_power_coefficients,
-                       zeta_even_exact)
+from circlepol import (ExactPolynomial, equally_spaced,
+                       exact_polarization_polynomial, polarization,
+                       riesz_kernel, sinc_power_coefficients, zeta_even_exact)
+from circlepol.exact_series import _bernoulli
+
+from helpers import assert_sinc_power_matches_taylor
+
+
+def _product(a, b):
+    """Cauchy product of two coefficient lists, truncated to the shorter."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1))
+            for k in range(min(len(a), len(b)))]
+
+
+def _rationals(s, order):
+    return [c for c, _ in sinc_power_coefficients(s, order=order)]
 
 
 def test_bernoulli_values():
-    b = bernoulli_numbers(8)
+    b = _bernoulli(8)
     assert b[0] == 1
     assert b[1] == Fraction(-1, 2)
     assert b[2] == Fraction(1, 6)
@@ -23,8 +32,6 @@ def test_bernoulli_values():
     assert b[4] == Fraction(-1, 30)
     assert b[6] == Fraction(1, 42)
     assert b[8] == Fraction(-1, 30)
-    with pytest.raises(ValueError):
-        bernoulli_numbers(-1)
 
 
 def test_zeta_even_exact_values():
@@ -33,13 +40,6 @@ def test_zeta_even_exact_values():
     assert zeta_even_exact(3) == Fraction(1, 945)
     with pytest.raises(ValueError):
         zeta_even_exact(0)
-
-
-def test_log_sinc_series_coefficients():
-    s = log_sinc_series(4)
-    assert s.coeffs[0] == 0
-    assert s.coeffs[1] == Fraction(-1, 6)
-    assert s.coeffs[2] == Fraction(-1, 180)
 
 
 def test_sinc_power_constant_term_and_first_coefficient():
@@ -56,63 +56,36 @@ def test_exact_path_rejects_floats():
     with pytest.raises(TypeError):
         sinc_power_coefficients(2.0, order=2)
     with pytest.raises(TypeError):
-        generalized_bernoulli_value(1, 1.5, 0)
-    with pytest.raises(TypeError):
-        RationalSeries([0.5, 1])
+        sinc_power_coefficients(True, order=2)
 
 
-def test_series_exp_log_round_trip_is_exact():
-    import random
-    rnd = random.Random(42)
-    for _ in range(10):
-        coeffs = [Fraction(1)] + [
-            Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(6)
-        ]
-        series = RationalSeries(coeffs)
-        assert series.log().exp() == series
-
-
-def test_series_constant_term_requirements():
+def test_sinc_power_rejects_negative_order():
     with pytest.raises(ValueError):
-        RationalSeries([1, 2, 3]).exp()  # constant term must be 0
-    with pytest.raises(ValueError):
-        RationalSeries([0, 2, 3]).log()  # constant term must be 1
-    with pytest.raises(ValueError):
-        RationalSeries([0, 1]) + RationalSeries([0, 1, 2])  # order mismatch
+        sinc_power_coefficients(2, order=-1)
+    assert sinc_power_coefficients(2, order=0) == [(Fraction(1), 0)]
 
 
-def test_series_algebra_basics():
-    a = RationalSeries([1, 2, 3])
-    b = RationalSeries([0, 1, Fraction(1, 2)])
-    assert (a * b).coeffs == (Fraction(0), Fraction(1), Fraction(5, 2))
-    assert (a + b).coeffs == (Fraction(1), Fraction(3), Fraction(7, 2))
-    assert a.scale(Fraction(1, 3)).coeffs[2] == 1
+def test_sinc_power_round_trip_is_exact():
+    # sinc**(-s) times sinc**s is 1, term by term and exactly
+    for s in (1, 2, Fraction(7, 3), Fraction(-1, 2), 8):
+        product = _product(_rationals(s, 12), _rationals(-s, 12))
+        assert product == [1] + [0] * 12, s
 
 
 def test_series_pow_matches_repeated_product():
-    s = RationalSeries([1, Fraction(1, 3), Fraction(2, 5), 0, 1])
-    assert s.pow(3) == s * s * s
-
-
-def test_generalized_bernoulli_basics():
-    assert generalized_bernoulli_value(0, 5, Fraction(1, 3)) == 1
-    assert generalized_bernoulli_value(1, 1, 0) == Fraction(-1, 2)
-    with pytest.raises(ValueError):
-        generalized_bernoulli_value(3, 1, 0, order=2)
+    # the recurrence for exponent 3s against the cube of the one for s
+    for s in (1, Fraction(7, 3), Fraction(1, 2)):
+        g = _rationals(s, 10)
+        assert _rationals(3 * s, 10) == _product(_product(g, g), g), s
 
 
 def test_sinc_power_agrees_with_generalized_bernoulli_route():
-    # second route: coefficient j equals
-    # (-1)^j B_{2j}^{(s)}(s/2) / (2j)! * (2 pi)^{2j}; the pi part is the grade
-    for s in range(1, 9):
-        direct = sinc_power_coefficients(s, order=4)
-        for j in range(5):
-            value = generalized_bernoulli_value(2 * j, s, Fraction(s, 2),
-                                                order=2 * j)
-            alt = (Fraction((-1) ** j) * value
-                   / Fraction(math.factorial(2 * j))
-                   * Fraction(4) ** j)
-            assert direct[j] == (alt, 2 * j), (s, j)
+    # coefficient j equals (-1)^j B_{2j}^{(s)}(s/2) / (2j)! * (2 pi)^{2j},
+    # the Taylor coefficient of sinc(pi z)**(-s); mpmath expands that
+    # function numerically, independently of the recurrence
+    mpmath = pytest.importorskip("mpmath")
+    for s in [*range(1, 9), Fraction(7, 3), Fraction(1, 2)]:
+        assert_sinc_power_matches_taylor(mpmath, s, order=8)
 
 
 def test_exact_polynomials_match_published_forms():

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (Kernel, custom_kernel, log_kernel, power_kernel,
-                       riesz_kernel, validate_kernel)
+from circlepol import (Configuration, Kernel, custom_kernel, equally_spaced,
+                       log_kernel, maximize_polarization, min_curve,
+                       minimum_on_arc, perturbation_test, polarization,
+                       potential_values, power_kernel, riesz_kernel,
+                       solve_transport, validate_kernel)
 
 
 def chord(theta):
@@ -130,6 +133,44 @@ def test_no_kernel_can_declare_the_hypotheses_away():
     assert names == ["fn", "value_at_zero", "strictly_convex", "label"]
     with pytest.raises(TypeError):
         custom_kernel(lambda t: -(t ** 2), 0.0, convex=False)
+
+
+def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
+    # -t**2 decreases but is concave: on these nodes the secant steps would
+    # return -15.67 where a dense scan of the potential finds -17.17
+    concave = custom_kernel(lambda t: -(t ** 2), 0.0)
+    c = Configuration([0.0, 1.0, 2.5, 4.0])
+    plan = solve_transport(c, equally_spaced(4))
+    searches = [
+        lambda k: polarization(k, c),
+        lambda k: minimum_on_arc(k, c, c.angles[0], c.gaps[0]),
+        lambda k: min_curve(k, c, plan, grid=3),
+        lambda k: maximize_polarization(k, 4),
+        lambda k: perturbation_test(k, 4, 0.1, 2),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match=r"convex \(midpoint convexity"):
+            search(concave)
+        with pytest.raises(ValueError, match=r"non_increasing \(f\("):
+            search(custom_kernel(lambda t: t, 0.0))
+    # the potential itself rests on no hypothesis
+    d = np.array([0.5, 0.5, 2.0, 2.0 * math.pi - 3.5])
+    assert_allclose(potential_values(concave, c, 0.5), [-(d ** 2).sum()],
+                    rtol=1e-15)
+
+
+@pytest.mark.parametrize("kernel", [
+    riesz_kernel(0.01), riesz_kernel(2), riesz_kernel(400), log_kernel(),
+    power_kernel(0.01), power_kernel(1.0),
+    custom_kernel(lambda t: math.pi - t, math.pi),
+], ids=lambda k: k.label)
+def test_arc_search_accepts_kernels_that_meet_the_hypotheses(kernel):
+    # riesz:400 overflows to +inf on the check's grid and is not strictly
+    # convex there, neither of which the arc search requires; RuntimeWarnings
+    # are errors in this suite, so the check must raise none
+    c = equally_spaced(3)
+    assert polarization(kernel, c).per_arc_minima[0][1:] == minimum_on_arc(
+        kernel, c, c.angles[0], c.gaps[0])
 
 
 def test_linear_kernel_is_convex_but_not_strictly():

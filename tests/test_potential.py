@@ -146,13 +146,20 @@ def test_gap_where_the_kernel_overflows():
 
 
 def _counted(kernel):
-    """``kernel`` with a count of the points its function evaluates."""
+    """``kernel`` with a count of the points its function evaluates.
+
+    The arc search checks a kernel's hypotheses once, on first use; that
+    check is made here, before counting starts, so only passes are counted.
+    """
     points = [0]
 
     def fn(t):
         points[0] += np.size(t)
         return kernel.fn(t)
-    return custom_kernel(fn, kernel.value_at_zero), points
+    counted = custom_kernel(fn, kernel.value_at_zero)
+    assert counted._report.convex.passed
+    points[0] = 0
+    return counted, points
 
 
 def _slope_passes(kernel, config):
