@@ -111,7 +111,7 @@ def _ascend(kernel: Kernel, start: np.ndarray,
     result = polarization(kernel, config)
     for iters in range(max_iters):
         x = config.angle_array
-        _, z, m = (np.array(col) for col in zip(*result.per_arc_minima))
+        z, m = result.arcs["angle"], result.arcs["value"]
         grad = -_slope_terms(kernel, x[1:], z)
         system = np.column_stack([grad, -np.ones(m.size)])
         # unit rows: else lstsq's cutoff drops every equation but the one of

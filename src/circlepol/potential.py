@@ -43,11 +43,14 @@ _WITNESS_ROUNDING = 32 * np.finfo(float).eps
 _CERTIFIED_BITS = 32
 
 # a slope this small against its summed absolute terms has no certain sign.
-# Kernels computed from the chord carry its relative error, below 1.4 eps
-# (about 2 ulp), so f(d +- h) is off by up to about 1.4 * eps * d * |f'(d)|.
-# _slope_terms divides the difference of two such values by 2h = 1.2e-5 * d,
-# so each term is off by up to 2.8 * eps / 1.2e-5 = 5.2e-11 of its size;
-# this is twice that.
+# It is set by kernels without a slope of their own, which take the
+# difference quotient of Kernel.derivative.  Values computed from the chord
+# carry its relative error, below 1.4 eps (about 2 ulp), so f(d +- h) is off
+# by up to about 1.4 * eps * d * |f'(d)|; divided by 2h = 1.2e-5 * d, that
+# leaves each term off by up to 2.8 * eps / 1.2e-5 = 5.2e-11 of its size,
+# and this is twice that.  The shipped kernels' analytic slopes are within
+# a few ulp of each term, so for them an arc stops on this test only where
+# U' is zero to ten digits, and the value there is the minimum to rounding.
 _SLOPE_NOISE = 1e-10
 
 # (probe, node) pairs per block of a pass.  Each temporary of a block is
@@ -65,7 +68,13 @@ def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
     Values at a node of a singular kernel are ``+inf``.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _row_sums(_potential_sums, kernel, config.angle_array, z)
+    return _values(kernel, config.angle_array, z)
+
+
+def _values(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # a kernel maps to [0, inf], so a value past the float range is +inf
+    with np.errstate(over="ignore"):
+        return _row_sums(_potential_sums, kernel, nodes, z)
 
 
 def _row_sums(sums, kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -95,24 +104,12 @@ def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray
 
     A row sums to the derivative of the potential at ``z``; negated, it is
     the gradient of a gap minimum at ``z`` in the node positions (Danskin).
-    f' is a central difference with a step relative to d, one-sided at 0.
-    Past pi the distance folds back, so f(d + h) is f(2 pi - d - h) there
-    and the quotient at pi is symmetric, giving 0 at the antipode of a node.
-    The fixed step at d = 0 serves kernels with a finite f(0) only: a probe
-    on a node of a singular kernel gives NaN.  Raises ``ValueError`` when
-    the kernel yields NaN.
+    A node at the probe's antipode adds 0 (see :meth:`Kernel.derivative`),
+    and so does a node at the probe itself, unless the kernel is singular:
+    then the term is NaN.  Raises ``ValueError`` when the kernel yields NaN.
     """
     w = _signed_wrap(z[..., None] - nodes)
-    d = np.abs(w)
-    h = 6e-6 * np.where(d > 0.0, d, 1e-3)
-    lo = np.maximum(d - h, 0.0)
-    hi = d + h
-    f_lo = kernel.eval(lo)
-    # d + h > 0, so f(d + h) needs none of Kernel.eval's handling of 0
-    f_hi = kernel.fn(np.minimum(hi, TWO_PI - hi))
-    if np.isnan(f_lo).any() or np.isnan(f_hi).any():
-        raise ValueError("kernel returned NaN")
-    return (f_hi - f_lo) / (hi - lo) * np.sign(w)
+    return kernel.derivative(np.abs(w)) * np.sign(w)
 
 
 def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -125,29 +122,45 @@ def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.array((slope, np.abs(terms, out=terms).sum(axis=-1)))
 
 
-@dataclass(frozen=True)
+# one record per nondegenerate gap: its index, its minimizer and the minimum
+_ARC_DTYPE = np.dtype([("gap", np.int64), ("angle", float), ("value", float)])
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class PolarizationResult:
     """Minimum of the potential over the circle, with where it is attained.
 
     ``witnesses`` lists every per-gap minimizer whose value is within
     ``WITNESS_TOL`` plus the rounding of an n-term sum of the best, sorted by
-    angle.  ``per_arc_minima`` records ``(gap_index, angle, value)`` for
-    each nondegenerate gap.
+    angle.  ``arcs`` is a read-only structured array with one
+    ``(gap, angle, value)`` record per nondegenerate gap, 24 bytes each;
+    ``per_arc_minima`` gives the same records as a tuple of tuples.
     """
 
     value: float
     witnesses: Tuple[float, ...]
-    per_arc_minima: Tuple[Tuple[int, float, float], ...]
+    arcs: np.ndarray
+
+    @property
+    def per_arc_minima(self) -> Tuple[Tuple[int, float, float], ...]:
+        return tuple(self.arcs.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, PolarizationResult):
+            return NotImplemented
+        return (self.value == other.value and self.witnesses == other.witnesses
+                and self.per_arc_minima == other.per_arc_minima)
 
 
 def _check_hypotheses(kernel: Kernel) -> None:
-    # the hypotheses the arc search rests on.  A kernel may be +inf, so
-    # ``finite`` is not one of them, and strict convexity bears only on
-    # uniqueness.
+    # the hypotheses the arc search rests on, and a declared slope, which it
+    # follows in place of fn.  A NaN raises where the search meets it, and
+    # strict convexity bears only on uniqueness.
     report = kernel._report
     failed = [f"{name} ({check.detail})" for name, check in (
-        ("non_increasing", report.non_increasing), ("convex", report.convex))
-        if not check.passed]
+        ("non_increasing", report.non_increasing), ("convex", report.convex),
+        ("slope", report.slope))
+        if check is not None and not check.passed]
     if failed:
         raise ValueError(f"kernel {kernel.label!r} fails "
                          + "; ".join(failed)
@@ -229,7 +242,7 @@ def _minimize_on_arcs(
     # the midpoint of a bracket one float wide rounds onto an end, which may
     # be a node: keep it inside wherever the arc has an interior float
     z = np.clip(z, np.nextafter(starts, ends), np.nextafter(ends, starts))
-    values = _row_sums(_potential_sums, kernel, nodes, z)
+    values = _values(kernel, nodes, z)
     if np.isnan(values).any():
         raise ValueError("kernel returned NaN inside an arc")
     return z % TWO_PI, values
@@ -275,13 +288,14 @@ def polarization(kernel: Kernel, config: Configuration) -> PolarizationResult:
     gaps = np.asarray(config.gaps)
     live = np.nonzero(gaps > 0.0)[0]
     xs, vs = _minimize_on_arcs(kernel, nodes, nodes[live], gaps[live])
-    per_arc = tuple(zip(live.tolist(), xs.tolist(), vs.tolist()))
+    arcs = np.empty(live.size, dtype=_ARC_DTYPE)
+    arcs["gap"], arcs["angle"], arcs["value"] = live, xs, vs
+    arcs.flags.writeable = False
 
     value = float(vs.min())
     tol = WITNESS_TOL + _WITNESS_ROUNDING * config.n * abs(value)
-    witnesses = tuple(sorted(x for _, x, v in per_arc if v - value <= tol))
-    return PolarizationResult(value=value, witnesses=witnesses,
-                              per_arc_minima=per_arc)
+    witnesses = tuple(np.sort(xs[vs - value <= tol]).tolist())
+    return PolarizationResult(value=value, witnesses=witnesses, arcs=arcs)
 
 
 def potential_profile(
@@ -297,5 +311,5 @@ def potential_profile(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     zs = TWO_PI * np.arange(resolution) / resolution
-    vals = _row_sums(_potential_sums, kernel, config.angle_array, zs)
+    vals = _values(kernel, config.angle_array, zs)
     return np.column_stack([zs, vals])

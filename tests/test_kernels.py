@@ -93,6 +93,55 @@ def test_kernel_values_match_mpmath(kind, s):
             assert abs(g - exact) <= bound, (t, g, exact)
 
 
+@pytest.mark.parametrize("kind, s", [("riesz", 0.5), ("riesz", 2.0), ("riesz", 20.0),
+                                     ("log", 0.0), ("power", 0.5), ("power", 1.0)])
+def test_kernel_slopes_match_mpmath(kind, s):
+    # f'(theta) = -scale * cos(theta/2), with scale = s c**(-s-1) (riesz),
+    # 1/c (log) or alpha c**(alpha-1) (power) for the chord c.  The cosine
+    # of one tangent is off by a few ulp of 1 next to pi, so the error is
+    # measured against scale; a power s of the chord has about s times its
+    # relative error.  Seen at most 1.25 eps (1 + s) scale
+    mpmath = pytest.importorskip("mpmath")
+    kernel = {"riesz": riesz_kernel, "log": lambda _: log_kernel(),
+              "power": power_kernel}[kind](s)
+    rng = np.random.default_rng(6)
+    theta = np.concatenate([rng.uniform(0.0, math.pi, 1000),
+                            10.0 ** rng.uniform(-12.0, 0.0, 500), [1e-12],
+                            math.pi - 10.0 ** rng.uniform(-15.0, 0.0, 500),
+                            [np.nextafter(math.pi, 0.0)]])
+    theta = theta[theta > 0.0]
+    got = kernel.derivative(theta)
+    assert np.array_equal(got, kernel.slope(theta))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for t, g in zip(theta.tolist(), got.tolist()):
+            half = mpmath.mpf(t) / 2
+            chord = 2 * mpmath.sin(half)
+            scale = {"riesz": lambda: s * chord ** (-s - 1),
+                     "log": lambda: 1 / chord,
+                     "power": lambda: s * chord ** (s - 1)}[kind]()
+            exact = -scale * mpmath.cos(half)
+            assert abs(g - exact) <= 2 * eps * (1 + s) * scale, (t, g, exact)
+    # at the antipode of a node U' must pass through 0, as the folded
+    # difference quotient does
+    assert kernel.derivative(math.pi) == 0.0
+    assert kernel.slope(np.array([math.pi]))[0] == 0.0
+
+
+def test_derivative_at_zero_and_without_a_slope():
+    # a node adds no slope term at a probe on it unless f(0) is +inf
+    assert riesz_kernel(2).derivative(0.0) == -math.inf
+    assert log_kernel().derivative(0.0) == -math.inf
+    assert power_kernel(0.5).derivative([0.0, 1.0])[0] == 0.0
+    # without a slope, a relative-step difference quotient, symmetric at pi
+    k = riesz_kernel(2)
+    quotient = dataclasses.replace(k, slope=None)
+    theta = np.array([1e-6, 0.5, 2.0, math.pi - 1e-3])
+    assert_allclose(quotient.derivative(theta), k.derivative(theta), rtol=1e-7)
+    assert quotient.derivative(math.pi) == 0.0
+    assert quotient.derivative(0.0) == -math.inf
+
+
 def test_factory_parameter_validation():
     with pytest.raises(ValueError):
         riesz_kernel(0.0)
@@ -109,7 +158,25 @@ def test_shipped_kernels_pass_validation():
               riesz_kernel(4), log_kernel(), power_kernel(0.3),
               power_kernel(1.0)):
         report = validate_kernel(k)
-        assert report.ok, [f.detail for f in report.failures]
+        assert report.ok, report.failures
+        assert report.slope.passed
+
+
+@pytest.mark.parametrize("s", [400, 1000])
+def test_kernels_that_overflow_to_inf_pass_validation(s):
+    # f maps to [0, inf]: a value past the float range is +inf, which is
+    # neither a finite failure nor a missing strict margin
+    report = validate_kernel(riesz_kernel(s))
+    assert report.ok, report.failures
+
+
+def test_validator_flags_a_nan_value():
+    k = custom_kernel(lambda t: np.where(t > 2, np.nan, 1 / t), math.inf)
+    report = validate_kernel(k)
+    assert report.failures == ("finite",)
+    assert "nan" in report.finite.detail
+    negative = custom_kernel(lambda t: np.where(t > 2, -np.inf, 1 / t), math.inf)
+    assert "finite" in validate_kernel(negative).failures
 
 
 def test_validator_flags_increasing_kernel():
@@ -128,9 +195,10 @@ def test_validator_flags_concave_kernel():
 
 
 def test_no_kernel_can_declare_the_hypotheses_away():
-    # monotonicity and convexity are checked on every kernel, never declared
+    # monotonicity and convexity are checked on every kernel, never declared;
+    # a declared slope is checked against fn
     names = [f.name for f in dataclasses.fields(Kernel)]
-    assert names == ["fn", "value_at_zero", "strictly_convex", "label"]
+    assert names == ["fn", "value_at_zero", "strictly_convex", "label", "slope"]
     with pytest.raises(TypeError):
         custom_kernel(lambda t: -(t ** 2), 0.0, convex=False)
 
@@ -165,12 +233,41 @@ def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
     custom_kernel(lambda t: math.pi - t, math.pi),
 ], ids=lambda k: k.label)
 def test_arc_search_accepts_kernels_that_meet_the_hypotheses(kernel):
-    # riesz:400 overflows to +inf on the check's grid and is not strictly
-    # convex there, neither of which the arc search requires; RuntimeWarnings
-    # are errors in this suite, so the check must raise none
+    # riesz:400 overflows to +inf on the check's grid, which the hypotheses
+    # allow; RuntimeWarnings are errors in this suite, so the check must
+    # raise none
     c = equally_spaced(3)
     assert polarization(kernel, c).per_arc_minima[0][1:] == minimum_on_arc(
         kernel, c, c.angles[0], c.gaps[0])
+
+
+@pytest.mark.parametrize("slope, detail", [
+    (lambda t: 2.0 * riesz_kernel(2).slope(t), "difference quotient"),
+    (lambda t: riesz_kernel(2).slope(t) * (1.0 + 1e-3), "difference quotient"),
+    (lambda t: -riesz_kernel(2).slope(t), r"slope [0-9.e+-]+ at theta"),
+    (lambda t: riesz_kernel(2).slope(t) * np.where(t > 2, 1.5, 1.0),
+     "below the one before"),
+    (lambda t: np.where(t > 3, np.nan, riesz_kernel(2).slope(t)), "slope nan"),
+])
+def test_a_wrong_slope_is_refused(slope, detail):
+    # the engine follows the slope in place of fn, so a slope that is not
+    # fn's derivative would bypass the hypotheses checked on fn
+    wrong = dataclasses.replace(riesz_kernel(2), slope=slope)
+    report = validate_kernel(wrong)
+    assert report.failures == ("slope",)
+    with pytest.raises(ValueError, match="slope .*" + detail):
+        polarization(wrong, equally_spaced(3))
+    assert validate_kernel(dataclasses.replace(wrong, slope=None)).ok
+
+
+def test_a_declared_slope_is_followed():
+    k = Kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2,
+               slope=lambda t: 2.0 * (t - math.pi))
+    assert validate_kernel(k).ok
+    c = Configuration([0.0, 1.0, 2.5])
+    quotient = dataclasses.replace(k, slope=None)
+    assert polarization(k, c).value == pytest.approx(
+        polarization(quotient, c).value, rel=1e-14)
 
 
 def test_linear_kernel_is_convex_but_not_strictly():
@@ -203,7 +300,7 @@ def _loop_checks(theta, values):
         avg = 0.5 * (values[i] + values[i + 2])
         if convex is None and values[i + 1] > avg + tol(values[i], values[i + 2]):
             convex = i
-        if strict is None and not values[i + 1] < avg:
+        if strict is None and not values[i + 1] < avg and values[i + 1] != math.inf:
             strict = i
     return monotone, convex, strict
 

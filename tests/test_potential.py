@@ -1,5 +1,6 @@
 """Potential evaluation and the per-arc minimization engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from circlepol import (TWO_PI, Configuration, custom_kernel, equally_spaced,
                        log_kernel, minimum_on_arc, polarization, potential,
                        potential_profile, potential_values, power_kernel,
-                       riesz_kernel, rotate)
+                       riesz_kernel, rotate, validate_kernel)
 from helpers import dense_scan_minimum, random_config
 
 
@@ -135,7 +136,6 @@ def test_gap_of_one_or_two_ulps(kernel, ulps):
         assert math.isfinite(v)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_gap_where_the_kernel_overflows():
     # f(d) is +inf by overflow all over a gap of 1e-160 under riesz:2
     c = Configuration([0.0, 1e-160, 3.0])
@@ -145,37 +145,79 @@ def test_gap_where_the_kernel_overflows():
     assert math.isfinite(r.value)
 
 
+def test_overflow_to_inf_does_not_warn():
+    # f maps to [0, inf], so riesz:400 at 1e-3 from a node is +inf, not an
+    # error; RuntimeWarnings are errors in this suite
+    c = Configuration([0.0, 0.001, 3.0])
+    r = polarization(riesz_kernel(400), c)
+    assert r.per_arc_minima[0][2] == math.inf
+    assert math.isfinite(r.value)
+    assert potential_values(riesz_kernel(400), c, [5e-4, 1.5])[0] == math.inf
+    assert potential_profile(riesz_kernel(400), c, 4)[0, 1] == math.inf
+
+
+def test_per_arc_minima_are_one_read_only_array():
+    c = random_config(np.random.default_rng(3), 5)
+    r = polarization(riesz_kernel(2), c)
+    assert r.arcs.dtype.itemsize == 24
+    assert not r.arcs.flags.writeable
+    assert [type(x) for x in r.per_arc_minima[0]] == [int, float, float]
+    assert r.per_arc_minima == tuple(zip(r.arcs["gap"].tolist(),
+                                         r.arcs["angle"].tolist(),
+                                         r.arcs["value"].tolist()))
+    assert r == polarization(riesz_kernel(2), c)
+    assert r != polarization(riesz_kernel(3), c)
+
+
 def _counted(kernel):
-    """``kernel`` with a count of the points its function evaluates.
+    """``kernel`` with a count of the points its function and its slope
+    evaluate, keeping the slope it has or has not.
 
     The arc search checks a kernel's hypotheses once, on first use; that
     check is made here, before counting starts, so only passes are counted.
     """
-    points = [0]
+    points = {"fn": 0, "slope": 0}
 
-    def fn(t):
-        points[0] += np.size(t)
-        return kernel.fn(t)
-    counted = custom_kernel(fn, kernel.value_at_zero)
+    def counting(name, f):
+        def call(t):
+            points[name] += np.size(t)
+            return f(t)
+        return call
+    counted = dataclasses.replace(kernel, **{
+        name: counting(name, getattr(kernel, name))
+        for name in points if getattr(kernel, name) is not None})
     assert counted._report.convex.passed
-    points[0] = 0
+    points.update(fn=0, slope=0)
     return counted, points
 
 
 def _slope_passes(kernel, config):
     """Slope passes ``minimum_on_arc`` spends on each nonempty gap.
 
-    A pass evaluates the kernel twice per node, at d - h and d + h, and the
-    final value once more.
+    A pass evaluates the slope once per node, or without one the function
+    twice, at d - h and d + h; the final value takes one more.
     """
     counted, points = _counted(kernel)
     passes = []
     for k, gap in enumerate(config.gaps):
         if gap > 0.0:
-            points[0] = 0
+            points.update(fn=0, slope=0)
             minimum_on_arc(counted, config, config.angles[k], gap)
-            passes.append((points[0] / config.n - 1) / 2)
+            passes.append(points["slope"] / config.n
+                          + (points["fn"] / config.n - 1) / 2)
     return passes
+
+
+def _both_paths(kernels):
+    """Each kernel with its analytic slope, and again with the difference
+    quotient that a kernel without one gets."""
+    params = []
+    for k in kernels:
+        params.append(pytest.param(k, id=k.label))
+        if k.slope is not None:
+            params.append(pytest.param(dataclasses.replace(k, slope=None),
+                                       id=f"{k.label}-quotient"))
+    return params
 
 
 _SMOOTH_KERNELS = [riesz_kernel(2), riesz_kernel(20), log_kernel(), power_kernel(0.5)]
@@ -192,8 +234,7 @@ def _hard_configs():
     return configs
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
-@pytest.mark.parametrize("kernel", _HARD_KERNELS, ids=lambda k: k.label)
+@pytest.mark.parametrize("kernel", _both_paths(_HARD_KERNELS))
 def test_no_arc_takes_more_than_twice_the_halvings(kernel):
     # once the secant steps stop shrinking a bracket it is halved, so no arc
     # needs more than 2 * 32 + 1 passes; riesz:20 overflows by itself in
@@ -202,8 +243,7 @@ def test_no_arc_takes_more_than_twice_the_halvings(kernel):
         assert max(_slope_passes(kernel, c)) <= 2 * 32 + 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
-@pytest.mark.parametrize("kernel", _SMOOTH_KERNELS, ids=lambda k: k.label)
+@pytest.mark.parametrize("kernel", _both_paths(_SMOOTH_KERNELS))
 def test_secant_steps_take_few_slope_passes(kernel):
     # about 7 passes per gap; without the Anderson-Bjorck scaling it takes
     # 13 to 48 on average, and a secant point allowed to round onto a
@@ -214,21 +254,25 @@ def test_secant_steps_take_few_slope_passes(kernel):
         assert np.mean(passes) <= 10
 
 
-@pytest.mark.parametrize("kernel", _HARD_KERNELS, ids=lambda k: k.label)
+@pytest.mark.parametrize("kernel", _both_paths(_HARD_KERNELS))
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 65, 255, 256])
 def test_equal_spacing_takes_one_slope_pass(kernel, n):
     # the first probe of every gap is its midpoint, where the slope terms
     # cancel to rounding; with n odd a node sits at the antipode of every
-    # midpoint, where the difference quotient is symmetric about pi.  Blocks
-    # split a pass into several calls, so the count is of evaluated points:
-    # two per (gap, node) pair and pass, and one more for the final value
+    # midpoint, where the slope is 0 and the difference quotient symmetric
+    # about pi.  Blocks split a pass into several calls, so the count is of
+    # evaluated points: per (gap, node) pair, one slope or two values for
+    # the one pass, and one value for the final value
     counted, points = _counted(kernel)
     r = polarization(counted, equally_spaced(n))
-    assert points[0] == (2 + 1) * n * n
+    if kernel.slope is None:
+        assert points == {"fn": (2 + 1) * n * n, "slope": 0}
+    else:
+        assert points == {"fn": n * n, "slope": n * n}
     assert len(r.per_arc_minima) == n
 
 
-@pytest.mark.parametrize("kernel", _HARD_KERNELS, ids=lambda k: k.label)
+@pytest.mark.parametrize("kernel", _both_paths(_HARD_KERNELS))
 def test_single_point_witness_is_the_antipode(kernel):
     # U' passes through 0 at pi instead of jumping there, so the first probe
     # of the one gap, its midpoint, is the minimizer
@@ -314,6 +358,18 @@ def test_nan_met_only_by_the_difference_quotient_raises():
     with pytest.raises(ValueError, match="NaN"):
         minimum_on_arc(custom_kernel(fn, math.inf), equally_spaced(2),
                        0.0, math.pi)
+
+
+def test_nan_met_only_by_a_declared_slope_raises():
+    # the slope is NaN only within 1e-6 of distance 0.5, which no point of
+    # the validator's grid comes near, and the first probe of the gap lies
+    # at distance 0.5 from both nodes
+    k = riesz_kernel(2)
+    ring = dataclasses.replace(k, slope=lambda t: np.where(
+        np.abs(t - 0.5) < 1e-6, np.nan, k.slope(t)))
+    assert validate_kernel(ring).ok
+    with pytest.raises(ValueError, match="slope returned NaN"):
+        minimum_on_arc(ring, Configuration([0.0, 1.0]), 0.0, 1.0)
 
 
 def test_polarization_value_is_min_of_per_arc():
