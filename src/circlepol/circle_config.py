@@ -122,11 +122,13 @@ def reflect(config: Configuration) -> Configuration:
 def config_from_gaps(gaps: Sequence[float], anchor: float = 0.0) -> Configuration:
     """Configuration with the given gap vector, first point at ``anchor``.
 
-    The gaps must be nonnegative and sum to 2*pi (within 1e-9).
+    The gaps must be finite, nonnegative and sum to 2*pi (within 1e-9).
     """
     g = np.asarray(gaps, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise ValueError("gaps must be a nonempty vector")
+    if not np.isfinite(g).all():
+        raise ValueError(f"gaps must be finite, got {g!r}")
     if (g < -ANGLE_TOL).any():
         raise ValueError("gaps must be nonnegative")
     if abs(g.sum() - TWO_PI) > 1e-9:

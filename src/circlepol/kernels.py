@@ -81,17 +81,11 @@ class Kernel:
         return out
 
     def _difference_quotient(self, d):
-        # central, with a step relative to d > 0.  Past pi the distance folds
-        # back, so f(d + h) is f(2 pi - d - h) there and the quotient at pi
-        # is symmetric, giving 0 at the antipode of a node
-        h = 6e-6 * d
-        lo = d - h
-        hi = d + h
-        f_lo = self.fn(lo)
-        f_hi = self.fn(np.minimum(hi, TWO_PI - hi))
+        # central, with a step relative to d > 0, symmetric at pi
+        f_lo, f_hi, width = _folded_difference(self.fn, d, 6e-6)
         if np.isnan(f_lo).any() or np.isnan(f_hi).any():
             raise ValueError("kernel returned NaN")
-        return (f_hi - f_lo) / (hi - lo)
+        return (f_hi - f_lo) / width
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -121,6 +115,14 @@ def _off_zero(fn, theta, at_zero):
     else:
         out[...] = fn(theta) if value is None else value
     return out[()]
+
+
+def _folded_difference(fn, d, step):
+    """``fn`` at ``d - h`` and ``d + h`` for ``h = step * d``, and ``2h``.
+    Past pi the distance folds back, so f(d + h) is f(2 pi - d - h) there."""
+    h = step * d
+    lo, hi = d - h, d + h
+    return fn(lo), fn(np.minimum(hi, TWO_PI - hi)), hi - lo
 
 
 def _chord(theta):
@@ -157,25 +159,33 @@ def _chord_and_cosine(theta):
     return 4.0 * t / p, cosine
 
 
-def riesz_kernel(s: float) -> Kernel:
-    """Inverse s-power of the chord length, ``(2 sin(theta/2))**(-s)``.
-
-    Requires ``s > 0``; use :func:`power_kernel` or :func:`log_kernel` for
-    the other classical problems.
-    """
-    s = float(s)
-    if not s > 0:
-        raise ValueError(f"riesz kernel needs s > 0, got {s} "
-                         "(use power_kernel or log_kernel instead)")
+def _chord_power(exponent: float, negated: bool, **fields) -> Kernel:
+    """The kernel ``c**exponent`` of the chord ``c``, negated if asked, with
+    its slope from the chain rule, ``f' = g'(c) cos(theta/2)``."""
+    coefficient = -exponent if negated else exponent
 
     def fn(theta):
-        return _chord(theta) ** (-s)
+        value = _chord(theta) ** exponent
+        return -value if negated else value
 
     def slope(theta):
         chord, cosine = _chord_and_cosine(theta)
-        return (-s) * cosine * chord ** (-s - 1.0)
+        return coefficient * cosine * chord ** (exponent - 1.0)
 
-    return Kernel(fn=fn, value_at_zero=INF, label=f"riesz:{s:g}", slope=slope)
+    return Kernel(fn=fn, slope=slope, **fields)
+
+
+def riesz_kernel(s: float) -> Kernel:
+    """Inverse s-power of the chord length, ``(2 sin(theta/2))**(-s)``.
+
+    Requires a finite ``s > 0``; use :func:`power_kernel` or
+    :func:`log_kernel` for the other classical problems.
+    """
+    s = float(s)
+    if not 0.0 < s < INF:
+        raise ValueError(f"riesz kernel needs finite s > 0, got {s} "
+                         "(use power_kernel or log_kernel instead)")
+    return _chord_power(-s, False, value_at_zero=INF, label=f"riesz:{s:g}")
 
 
 def log_kernel() -> Kernel:
@@ -205,21 +215,8 @@ def power_kernel(alpha: float) -> Kernel:
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"power kernel needs alpha in (0, 1], got {alpha}")
-
-    def fn(theta):
-        return -(_chord(theta) ** alpha)
-
-    def slope(theta):
-        chord, cosine = _chord_and_cosine(theta)
-        return (-alpha) * cosine * chord ** (alpha - 1.0)
-
-    return Kernel(
-        fn=fn,
-        value_at_zero=0.0,
-        strictly_convex=alpha < 1.0,
-        label=f"power:{alpha:g}",
-        slope=slope,
-    )
+    return _chord_power(alpha, True, value_at_zero=0.0,
+                        strictly_convex=alpha < 1.0, label=f"power:{alpha:g}")
 
 
 def custom_kernel(
@@ -301,8 +298,11 @@ def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
     consecutive grid triples (relative tolerance 1e-12); strict convexity,
     when the kernel declares it, also requires a positive midpoint margin
     wherever the midpoint value is finite.  A declared ``slope`` must be
-    <= 0, non-decreasing, and within ``SLOPE_TOL`` of a central difference
-    of ``fn`` (see :func:`_check_slope`).
+    <= 0 and not NaN, non-decreasing (relative tolerance 1e-12), and within
+    ``SLOPE_TOL`` of the central difference of ``fn`` with step
+    ``_SLOPE_STEP * theta``, folded back past pi like the distance; where
+    that difference is not finite, as where ``fn`` overflows, it is skipped.
+    Each check reports its first failing grid point.
     """
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
@@ -310,96 +310,70 @@ def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
     theta = np.pi * np.arange(1, grid_size + 1) / grid_size
     # a value past the float range is +inf, which the hypotheses allow
     with np.errstate(over="ignore"):
-        values = kernel.eval(theta)
-
-    bad = np.isnan(values) | (values == -INF)
-    if not bad.any():
-        finite = CheckResult(True)
-    else:
-        i = int(np.argmax(bad))
-        finite = CheckResult(False, f"value {values[i]!r} at theta={theta[i]!r}",
-                             (float(theta[i]), float(theta[i])))
-
-    strictly_convex = None
-    if kernel.strictly_convex:
-        strictly_convex = _check_midpoint_convexity(theta, values, strict=True)
-
-    return ValidationReport(
-        label=kernel.label,
-        grid_size=grid_size,
-        finite=finite,
-        non_increasing=_check_monotone(theta, values),
-        convex=_check_midpoint_convexity(theta, values, strict=False),
-        strictly_convex=strictly_convex,
-        slope=None if kernel.slope is None else _check_slope(kernel, theta),
-    )
-
-
-def _check_monotone(theta: np.ndarray, values: np.ndarray) -> CheckResult:
-    a, b = values[:-1], values[1:]
-    with np.errstate(invalid="ignore", over="ignore"):
-        bad = b > a + _scale_tol(a, b)
-    if bad.any():
-        i = int(np.argmax(bad))
-        return CheckResult(
-            False,
-            f"f({theta[i]:.6g})={values[i]:.6g} < f({theta[i + 1]:.6g})="
-            f"{values[i + 1]:.6g}",
-            (float(theta[i]), float(theta[i + 1])),
-        )
-    return CheckResult(True)
-
-
-def _check_midpoint_convexity(theta: np.ndarray, values: np.ndarray,
-                              strict: bool) -> CheckResult:
+        v = kernel.eval(theta)
     # uniform grid: theta[i+1] is the midpoint of (theta[i], theta[i+2])
-    a, mid, b = values[:-2], values[1:-1], values[2:]
+    a, mid, b = v[:-2], v[1:-1], v[2:]
+    # each check is a list of (bad mask, witness span, detail); a detail is
+    # formatted from the columns at the first bad index i, with t and u the
+    # witness ends theta[i] and theta[i + span]
     with np.errstate(invalid="ignore", over="ignore"):
         avg = 0.5 * (a + b)
-        # no margin shows between values past the float range
-        bad = (~(mid < avg) & (mid != INF) if strict
-               else mid > avg + _scale_tol(a, b))
-    if not bad.any():
-        return CheckResult(True)
-    i = int(np.argmax(bad))
-    if strict:
-        detail = (f"no strict midpoint margin on ({theta[i]:.6g}, "
-                  f"{theta[i + 2]:.6g})")
-    else:
-        detail = (f"midpoint convexity fails on ({theta[i]:.6g}, "
-                  f"{theta[i + 2]:.6g}): f(mid)={mid[i]:.6g} > {avg[i]:.6g}")
-    return CheckResult(False, detail, (float(theta[i]), float(theta[i + 2])))
+        columns = {"v": v, "next": v[1:], "avg": avg}
+        checks = {
+            "finite": [(np.isnan(v) | (v == -INF), 0, "value {v!r} at theta={t!r}")],
+            "non_increasing": [(v[1:] > v[:-1] + _scale_tol(v[:-1], v[1:]), 1,
+                                "f({t:.6g})={v:.6g} < f({u:.6g})={next:.6g}")],
+            "convex": [(mid > avg + _scale_tol(a, b), 2,
+                        "midpoint convexity fails on ({t:.6g}, {u:.6g}): "
+                        "f(mid)={next:.6g} > {avg:.6g}")],
+            # no margin shows between values past the float range
+            "strictly_convex": [(~(mid < avg) & (mid != INF), 2,
+                                 "no strict midpoint margin on ({t:.6g}, {u:.6g})")]
+            if kernel.strictly_convex else None,
+            "slope": None,
+        }
+        if kernel.slope is not None:
+            s = columns["s"] = np.asarray(kernel.slope(theta), dtype=float)
+            f_lo, f_hi, width = _folded_difference(kernel.fn, theta, _SLOPE_STEP)
+            q = columns["q"] = (f_hi - f_lo) / width
+            allowed = SLOPE_TOL * np.abs(q) + _scale_tol(f_lo, f_hi) / width
+            checks["slope"] = [
+                (np.isnan(s) | (s > 0.0), 0, "slope {s:.6g} at theta={t:.6g}"),
+                (np.concatenate(([False], s[1:] < s[:-1] - _scale_tol(s[:-1], s[1:]))),
+                 0, "slope {s:.6g} at theta={t:.6g} is below the one before it"),
+                (np.isfinite(q) & ~(np.abs(s - q) <= allowed), 0,
+                 "slope {s:.6g} at theta={t:.6g}, where fn's difference "
+                 "quotient is {q:.6g}"),
+            ]
+    return ValidationReport(label=kernel.label, grid_size=grid_size, **{
+        name: None if rows is None else _first_failure(rows, theta, columns)
+        for name, rows in checks.items()})
 
 
-def _check_slope(kernel: Kernel, theta: np.ndarray) -> CheckResult:
-    """The declared slope against the shape of ``fn`` on the grid ``theta``.
-
-    It must be <= 0 and not NaN, non-decreasing (relative tolerance 1e-12),
-    and within ``SLOPE_TOL`` of the central difference of ``fn`` with step
-    ``_SLOPE_STEP * theta``, folded back past pi like the distance.  Where
-    that difference is not finite, as where ``fn`` overflows, it is skipped.
-    """
-    h = _SLOPE_STEP * theta
-    lo, hi = theta - h, theta + h
-    with np.errstate(invalid="ignore", over="ignore"):
-        slope = np.asarray(kernel.slope(theta), dtype=float)
-        f_lo, f_hi = kernel.fn(lo), kernel.fn(np.minimum(hi, TWO_PI - hi))
-        quotient = (f_hi - f_lo) / (hi - lo)
-        off = np.abs(slope - quotient)
-        allowed = SLOPE_TOL * np.abs(quotient) + _scale_tol(f_lo, f_hi) / (hi - lo)
-        failures = (
-            (np.isnan(slope) | (slope > 0.0), "slope {s:.6g} at theta={t:.6g}"),
-            (np.concatenate(([False], slope[1:] < slope[:-1]
-                             - _scale_tol(slope[:-1], slope[1:]))),
-             "slope {s:.6g} at theta={t:.6g} is below the one before it"),
-            (np.isfinite(quotient) & ~(off <= allowed),
-             "slope {s:.6g} at theta={t:.6g}, where fn's difference "
-             "quotient is {q:.6g}"),
-        )
-    for bad, detail in failures:
+def _first_failure(rows, theta: np.ndarray, columns: dict) -> CheckResult:
+    """The first bad index of the first row with one as a failed check."""
+    for bad, span, detail in rows:
         if bad.any():
             i = int(np.argmax(bad))
-            return CheckResult(False, detail.format(s=slope[i], t=theta[i],
-                                                    q=quotient[i]),
-                               (float(theta[i]), float(theta[i])))
+            t, u = theta[i], theta[i + span]
+            at = {k: c[i] for k, c in columns.items() if i < c.size}
+            return CheckResult(False, detail.format(t=t, u=u, **at),
+                               (float(t), float(u)))
     return CheckResult(True)
+
+
+# the checks the arc search rests on: the theorem's hypotheses, and a
+# declared slope, which it follows in place of fn.  A NaN raises where the
+# search meets it, and strict convexity bears only on uniqueness
+_SEARCH_CHECKS = ("non_increasing", "convex", "slope")
+
+
+def _require_hypotheses(kernel: Kernel) -> None:
+    """Raise ``ValueError`` naming, with its detail, each search check that
+    the kernel's report fails; the report is computed once per kernel."""
+    report = kernel._report
+    failed = "; ".join(f"{name} ({getattr(report, name).detail})"
+                       for name in report.failures if name in _SEARCH_CHECKS)
+    if failed:
+        raise ValueError(f"kernel {kernel.label!r} fails {failed}: "
+                         "the potential need not be convex on a gap")

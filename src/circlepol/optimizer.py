@@ -103,7 +103,7 @@ def _ascend(kernel: Kernel, start: np.ndarray,
     difference wrapped to [-pi, pi].  With x_0 pinned at 0, each step solves
     the linearized equalization m_j + grad m_j . dx = t by least squares.
     The ascent stops once t exceeds P by no more than the rounding of an
-    n-term sum; otherwise dx is halved until every gap stays positive and P
+    n-term sum, or when no gap's equation is finite; otherwise dx is halved until every gap stays positive and P
     strictly rises.  Returns the final configuration, P and the number of
     accepted steps.
     """
@@ -112,13 +112,21 @@ def _ascend(kernel: Kernel, start: np.ndarray,
     for iters in range(max_iters):
         x = config.angle_array
         z, m = result.arcs["angle"], result.arcs["value"]
-        grad = -_slope_terms(kernel, x[1:], z)
-        system = np.column_stack([grad, -np.ones(m.size)])
-        # unit rows: else lstsq's cutoff drops every equation but the one of
-        # a tiny gap, whose m_j and slopes are huge under a singular kernel
-        scale = np.linalg.norm(system, axis=1)
-        step, *_ = np.linalg.lstsq(system / scale[:, None], -m / scale,
-                                   rcond=None)
+        # a value or slope past the float range is infinite, as in the
+        # engine.  Unit rows: else lstsq's cutoff drops every equation but
+        # the one of a tiny gap, whose m_j and slopes are huge under a
+        # singular kernel
+        with np.errstate(over="ignore"):
+            grad = -_slope_terms(kernel, x[1:], z)
+            system = np.column_stack([grad, -np.ones(m.size)])
+            scale = np.linalg.norm(system, axis=1)
+        # a row past the float range, in m_j, the gradient or its norm,
+        # belongs to a tiny gap whose minimum is far above P: it is left out
+        rows = np.isfinite(m) & np.isfinite(scale)
+        if not rows.any():
+            return config, result.value, iters
+        step, *_ = np.linalg.lstsq(system[rows] / scale[rows, None],
+                                   -m[rows] / scale[rows], rcond=None)
         rounding = _WITNESS_ROUNDING * config.n * abs(result.value)
         if step[-1] - result.value <= rounding:
             return config, result.value, iters

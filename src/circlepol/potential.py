@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from .circle_config import ANGLE_TOL, TWO_PI, Configuration, _signed_wrap
-from .kernels import Kernel
+from .kernels import Kernel, _require_hypotheses
 
 __all__ = [
     "WITNESS_TOL",
@@ -152,21 +152,6 @@ class PolarizationResult:
                 and self.per_arc_minima == other.per_arc_minima)
 
 
-def _check_hypotheses(kernel: Kernel) -> None:
-    # the hypotheses the arc search rests on, and a declared slope, which it
-    # follows in place of fn.  A NaN raises where the search meets it, and
-    # strict convexity bears only on uniqueness.
-    report = kernel._report
-    failed = [f"{name} ({check.detail})" for name, check in (
-        ("non_increasing", report.non_increasing), ("convex", report.convex),
-        ("slope", report.slope))
-        if check is not None and not check.passed]
-    if failed:
-        raise ValueError(f"kernel {kernel.label!r} fails "
-                         + "; ".join(failed)
-                         + ": the potential need not be convex on a gap")
-
-
 def _minimize_on_arcs(
     kernel: Kernel,
     nodes: np.ndarray,
@@ -190,10 +175,10 @@ def _minimize_on_arcs(
     (the argmin is the bracket's midpoint, kept inside the open arc so it is
     no node).  Returns the minimizing angles (wrapped to [0, 2*pi)) and the
     minimum values.  Raises ``ValueError`` when the kernel fails the
-    non_increasing or convex check of :func:`validate_kernel`, or yields NaN
-    at any evaluated point.
+    non_increasing, convex or slope check of :func:`validate_kernel`, or
+    yields NaN at any evaluated point.
     """
-    _check_hypotheses(kernel)
+    _require_hypotheses(kernel)
     m = starts.size
     ends = starts + lengths
     lo, hi = starts.copy(), ends.copy()

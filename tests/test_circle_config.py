@@ -83,6 +83,10 @@ def test_config_from_gaps_validation():
         config_from_gaps([1.0, 2.0])  # does not sum to 2*pi
     with pytest.raises(ValueError):
         config_from_gaps([-0.5, TWO_PI + 0.5])
+    # a NaN sum passes the sum check, so the gaps are checked first
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"gaps must be finite, got .*(nan|inf)"):
+            config_from_gaps([bad, 1.0, 2.0])
 
 
 def test_json_round_trip():

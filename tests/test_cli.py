@@ -254,6 +254,13 @@ def test_malformed_kernel_parameter_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+def test_non_finite_riesz_exponent_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["polarization", "--kernel", "riesz:inf", "--equally-spaced", "3"])
+    assert excinfo.value.code == 2
+    assert "finite s > 0" in capsys.readouterr().err
+
+
 def test_log_kernel_with_parameter_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["polarization", "--kernel", "log:2", "--equally-spaced", "4"])

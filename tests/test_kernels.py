@@ -147,6 +147,9 @@ def test_factory_parameter_validation():
         riesz_kernel(0.0)
     with pytest.raises(ValueError):
         riesz_kernel(-1.0)
+    for s in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite s > 0"):
+            riesz_kernel(s)
     with pytest.raises(ValueError):
         power_kernel(0.0)
     with pytest.raises(ValueError):
@@ -225,6 +228,25 @@ def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
     d = np.array([0.5, 0.5, 2.0, 2.0 * math.pi - 3.5])
     assert_allclose(potential_values(concave, c, 0.5), [-(d ** 2).sum()],
                     rtol=1e-15)
+
+
+@pytest.mark.parametrize("kernel, failed", [
+    (custom_kernel(np.sin, 0.0, label="sin"), ("non_increasing", "convex")),
+    (Kernel(lambda t: -(t ** 2), 0.0, label="concave", slope=lambda t: -t),
+     ("convex", "slope")),
+], ids=lambda x: getattr(x, "label", None))
+def test_the_refusal_names_every_failed_check(kernel, failed):
+    # sin rises, then bends down; -t**2 bends down and -t is not its slope.
+    # The concave kernel also fails its declared strict convexity, which
+    # bears only on uniqueness and is not refused
+    report = validate_kernel(kernel)
+    assert [n for n in report.failures if n != "strictly_convex"] == list(failed)
+    named = "; ".join(f"{name} ({getattr(report, name).detail})"
+                      for name in failed)
+    with pytest.raises(ValueError) as excinfo:
+        polarization(kernel, equally_spaced(3))
+    assert str(excinfo.value) == (f"kernel {kernel.label!r} fails {named}: "
+                                  "the potential need not be convex on a gap")
 
 
 @pytest.mark.parametrize("kernel", [

@@ -151,6 +151,17 @@ def test_finite_kernels_report_equal_spacing(kernel):
         assert abs(result.best_value - equal) <= 1e-9 * max(1.0, abs(equal)), n
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gaps_whose_slopes_overflow_leave_the_step(seed):
+    # Under riesz:400 a random start's tiny gap has an infinite gradient,
+    # and an infinite minimum (seed 0) or a finite one (seed 7, restart 4);
+    # its row must leave the least-squares system, not turn it NaN
+    kernel = riesz_kernel(400)
+    result = maximize_polarization(kernel, 4, OptimizeOptions(seed=seed))
+    equal = polarization(kernel, equally_spaced(4)).value
+    assert result.best_value == pytest.approx(equal, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # perturbation_test
 # ---------------------------------------------------------------------------
