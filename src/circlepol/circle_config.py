@@ -84,11 +84,11 @@ class Configuration:
         return min(self.gaps)
 
 
-def equally_spaced(n: int, phase: float = 0.0) -> Configuration:
-    """``n`` equally spaced points, the first at angle ``phase``."""
+def equally_spaced(n: int) -> Configuration:
+    """``n`` equally spaced points, the first at angle 0."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Configuration((phase + TWO_PI * k / n) for k in range(n))
+    return Configuration(TWO_PI * k / n for k in range(n))
 
 
 def _signed_wrap(w):

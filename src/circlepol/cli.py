@@ -45,6 +45,12 @@ def _kernel_arg(text: str) -> Kernel:
         f"unknown kernel {text!r} (expected riesz:<s>, log, or power:<alpha>)")
 
 
+def _exponent_arg(text: str) -> float:
+    """Parse a Riesz exponent ``s``, finite and > 0 as ``riesz_kernel`` asks."""
+    _kernel_arg(f"riesz:{text}")
+    return float(text)
+
+
 def _int_list(text: str) -> List[int]:
     try:
         values = [int(part) for part in text.split(",") if part]
@@ -230,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("asympt", help="numeric vs dominant asymptotic term")
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_exponent_arg, required=True)
     p.add_argument("--n", type=_int_list, required=True,
                    help="comma-separated point counts")
     p.set_defaults(func=_cmd_asympt)
 
     p = sub.add_parser("energy", help="energy values and the energy identity")
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_exponent_arg, required=True)
     p.add_argument("--n", type=_int_list, required=True)
     p.set_defaults(func=_cmd_energy)
 

@@ -47,12 +47,12 @@ class Kernel:
     search rests on ``fn`` being non-increasing and convex, and on ``slope``
     being its derivative: it refuses a kernel whose :func:`validate_kernel`
     report fails any of these checks, and computes that report once per
-    kernel.
+    kernel.  Strict convexity, which bears only on whether the maximizer is
+    unique, is read off the same report, not declared.
     """
 
     fn: Callable
     value_at_zero: float
-    strictly_convex: bool = True
     label: str = "custom"
     slope: Optional[Callable] = None
 
@@ -90,6 +90,11 @@ class Kernel:
     @cached_property
     def _report(self) -> ValidationReport:
         return validate_kernel(self)
+
+    @property
+    def strictly_convex(self) -> bool:
+        """Whether the validator's strict midpoint check passes."""
+        return self._report.strictly_convex.passed
 
 
 def _off_zero(fn, theta, at_zero):
@@ -215,28 +220,18 @@ def power_kernel(alpha: float) -> Kernel:
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"power kernel needs alpha in (0, 1], got {alpha}")
-    return _chord_power(alpha, True, value_at_zero=0.0,
-                        strictly_convex=alpha < 1.0, label=f"power:{alpha:g}")
+    return _chord_power(alpha, True, value_at_zero=0.0, label=f"power:{alpha:g}")
 
 
-def custom_kernel(
-    fn: Callable,
-    value_at_zero: float,
-    strictly_convex: bool = False,
-    label: str = "custom",
-) -> Kernel:
+def custom_kernel(fn: Callable, value_at_zero: float, label: str = "custom") -> Kernel:
     """Wrap a caller-supplied function on (0, pi] as a :class:`Kernel`.
 
-    Nothing is verified here; the arc search checks the kernel with
-    :func:`validate_kernel` on first use.  Its slope is a difference
-    quotient; ``Kernel(..., slope=...)`` declares an exact one.
+    Nothing is verified or declared here; the arc search checks the kernel
+    with :func:`validate_kernel` on first use, and ``strictly_convex`` reads
+    that report.  Its slope is a difference quotient;
+    ``Kernel(..., slope=...)`` declares an exact one.
     """
-    return Kernel(
-        fn=fn,
-        value_at_zero=float(value_at_zero),
-        strictly_convex=strictly_convex,
-        label=label,
-    )
+    return Kernel(fn=fn, value_at_zero=float(value_at_zero), label=label)
 
 
 @dataclass(frozen=True)
@@ -249,14 +244,14 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Grid check of kernel structure (a sanity gate, not a proof)."""
+    """Grid check of kernel structure (a sanity gate, not a proof); a failed
+    ``strictly_convex`` is a measurement, not one of the ``failures``."""
 
     label: str
-    grid_size: int
     finite: CheckResult
     non_increasing: CheckResult
     convex: CheckResult
-    strictly_convex: Optional[CheckResult]
+    strictly_convex: CheckResult
     slope: Optional[CheckResult]
 
     @property
@@ -269,13 +264,15 @@ class ValidationReport:
             ("finite", self.finite),
             ("non_increasing", self.non_increasing),
             ("convex", self.convex),
-            ("strictly_convex", self.strictly_convex),
             ("slope", self.slope),
         )
         return tuple(name for name, c in named if c is not None and not c.passed)
 
 
 REL_TOL = 1e-12
+
+# the validator's grid: (0, pi] in _GRID_SIZE equal steps
+_GRID_SIZE = 1024
 
 # a declared slope must lie within SLOPE_TOL of a central difference of fn,
 # relative to that difference and beyond the REL_TOL rounding of the two
@@ -290,24 +287,23 @@ def _scale_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
-    """Check the theorem's hypotheses on a uniform grid of (0, pi].
+def validate_kernel(kernel: Kernel) -> ValidationReport:
+    """Check the theorem's hypotheses on a uniform grid of (0, pi], 1024
+    points ending at pi.
 
     ``finite`` fails on a NaN or -inf value; +inf is allowed.  Monotonicity
     is checked on consecutive grid values, convexity by the midpoint test on
-    consecutive grid triples (relative tolerance 1e-12); strict convexity,
-    when the kernel declares it, also requires a positive midpoint margin
-    wherever the midpoint value is finite.  A declared ``slope`` must be
-    <= 0 and not NaN, non-decreasing (relative tolerance 1e-12), and within
-    ``SLOPE_TOL`` of the central difference of ``fn`` with step
-    ``_SLOPE_STEP * theta``, folded back past pi like the distance; where
-    that difference is not finite, as where ``fn`` overflows, it is skipped.
-    Each check reports its first failing grid point.
+    consecutive grid triples (relative tolerance 1e-12).  Strict convexity
+    is measured, not asked: it needs a positive midpoint margin wherever the
+    midpoint value is finite, and its failure is left out of ``failures``
+    and ``ok``.  A declared ``slope`` must be <= 0 and not NaN,
+    non-decreasing (relative tolerance 1e-12), and within ``SLOPE_TOL`` of
+    the central difference of ``fn`` with step ``_SLOPE_STEP * theta``,
+    folded back past pi like the distance; where that difference is not
+    finite, as where ``fn`` overflows, it is skipped.  Each check reports
+    its first failing grid point.
     """
-    if grid_size < 3:
-        raise ValueError(f"grid_size must be >= 3, got {grid_size}")
-
-    theta = np.pi * np.arange(1, grid_size + 1) / grid_size
+    theta = np.pi * np.arange(1, _GRID_SIZE + 1) / _GRID_SIZE
     # a value past the float range is +inf, which the hypotheses allow
     with np.errstate(over="ignore"):
         v = kernel.eval(theta)
@@ -328,8 +324,7 @@ def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
                         "f(mid)={next:.6g} > {avg:.6g}")],
             # no margin shows between values past the float range
             "strictly_convex": [(~(mid < avg) & (mid != INF), 2,
-                                 "no strict midpoint margin on ({t:.6g}, {u:.6g})")]
-            if kernel.strictly_convex else None,
+                                 "no strict midpoint margin on ({t:.6g}, {u:.6g})")],
             "slope": None,
         }
         if kernel.slope is not None:
@@ -345,7 +340,7 @@ def validate_kernel(kernel: Kernel, grid_size: int = 1024) -> ValidationReport:
                  "slope {s:.6g} at theta={t:.6g}, where fn's difference "
                  "quotient is {q:.6g}"),
             ]
-    return ValidationReport(label=kernel.label, grid_size=grid_size, **{
+    return ValidationReport(label=kernel.label, **{
         name: None if rows is None else _first_failure(rows, theta, columns)
         for name, rows in checks.items()})
 
@@ -364,7 +359,7 @@ def _first_failure(rows, theta: np.ndarray, columns: dict) -> CheckResult:
 
 # the checks the arc search rests on: the theorem's hypotheses, and a
 # declared slope, which it follows in place of fn.  A NaN raises where the
-# search meets it, and strict convexity bears only on uniqueness
+# search meets it
 _SEARCH_CHECKS = ("non_increasing", "convex", "slope")
 
 

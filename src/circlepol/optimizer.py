@@ -103,9 +103,9 @@ def _ascend(kernel: Kernel, start: np.ndarray,
     difference wrapped to [-pi, pi].  With x_0 pinned at 0, each step solves
     the linearized equalization m_j + grad m_j . dx = t by least squares.
     The ascent stops once t exceeds P by no more than the rounding of an
-    n-term sum, or when no gap's equation is finite; otherwise dx is halved until every gap stays positive and P
-    strictly rises.  Returns the final configuration, P and the number of
-    accepted steps.
+    n-term sum, or when no gap's equation is finite; otherwise dx is halved
+    until every gap stays positive and P strictly rises.  Returns the final
+    configuration, P and the number of accepted steps.
     """
     config = config_from_gaps(start)
     result = polarization(kernel, config)

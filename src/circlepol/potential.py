@@ -168,15 +168,15 @@ def _minimize_on_arcs(
     bracket; until then, the midpoint.  Like Brent's method, the engine
     halves a bracket when the secant steps stop shrinking it: after k probes
     a bracket wider than 2**(_CERTIFIED_BITS - k) of its arc is halved, so
-    every arc is done within 2 * _CERTIFIED_BITS + 1 probes.  An arc is
-    done, and leaves the active set, when its slope is zero or below its
-    rounding noise (the argmin is that probe), when its slope is NaN (the
-    probe again), or when its bracket is certified or has no float inside
-    (the argmin is the bracket's midpoint, kept inside the open arc so it is
-    no node).  Returns the minimizing angles (wrapped to [0, 2*pi)) and the
-    minimum values.  Raises ``ValueError`` when the kernel fails the
-    non_increasing, convex or slope check of :func:`validate_kernel`, or
-    yields NaN at any evaluated point.
+    every arc is done within 2 * _CERTIFIED_BITS + 1 probes.  A probe whose
+    slope is zero, below its rounding noise or NaN collapses the bracket
+    onto itself.  An arc leaves the active set once its bracket is
+    certified or has no float inside, and its argmin is the bracket's
+    midpoint, kept inside the open arc so it is no node: for a collapsed
+    bracket, the probe.  Returns the minimizing angles (wrapped to
+    [0, 2*pi)) and the minimum values.  Raises ``ValueError`` when the
+    kernel fails the non_increasing, convex or slope check of
+    :func:`validate_kernel`, or yields NaN at any evaluated point.
     """
     _require_hypotheses(kernel)
     m = starts.size
@@ -186,15 +186,10 @@ def _minimize_on_arcs(
     # as unknown until a probe replaces them
     s_lo, s_hi = np.full(m, -np.inf), np.full(m, np.inf)
     hi_moved = np.zeros(m, dtype=bool)  # which end the last probe replaced
-    z = np.empty(m)
-    done = np.zeros(m, dtype=bool)
     certified = lengths * 2.0 ** -_CERTIFIED_BITS
     for k in range(2 * _CERTIFIED_BITS + 1):
         mid = 0.5 * (lo + hi)
-        closed = ~done & ((hi - lo <= certified) | ~((lo < mid) & (mid < hi)))
-        z[closed] = mid[closed]
-        done |= closed
-        live = np.nonzero(~done)[0]
+        live = np.nonzero((hi - lo > certified) & (lo < mid) & (mid < hi))[0]
         if live.size == 0:
             break
         a, b, fa, fb = lo[live], hi[live], s_lo[live], s_hi[live]
@@ -217,16 +212,13 @@ def _minimize_on_arcs(
                               np.where(ratio > 0.0, ratio, 0.5), 1.0)
             s_lo[live] = np.where(up, fa * shrink, slope)
             s_hi[live] = np.where(up, slope, fb * shrink)
-        z[live[flat]] = p[flat]
-        done[live[flat]] = True
-        lo[live] = np.where(up, a, p)
-        hi[live] = np.where(up, p, b)
+        lo[live] = np.where(up & ~flat, a, p)
+        hi[live] = np.where(up | flat, p, b)
         hi_moved[live] = up
-    rest = ~done
-    z[rest] = 0.5 * (lo[rest] + hi[rest])
     # the midpoint of a bracket one float wide rounds onto an end, which may
     # be a node: keep it inside wherever the arc has an interior float
-    z = np.clip(z, np.nextafter(starts, ends), np.nextafter(ends, starts))
+    z = np.clip(0.5 * (lo + hi), np.nextafter(starts, ends),
+                np.nextafter(ends, starts))
     values = _values(kernel, nodes, z)
     if np.isnan(values).any():
         raise ValueError("kernel returned NaN inside an arc")

@@ -48,7 +48,8 @@ def test_coincident_points_give_zero_gaps():
 
 
 def test_equally_spaced_gaps_and_phase():
-    c = equally_spaced(5, phase=0.3)
+    c = rotate(equally_spaced(5), 0.3)
+    assert c.angles == Configuration(0.3 + TWO_PI * k / 5 for k in range(5)).angles
     assert_allclose(c.gaps, np.full(5, TWO_PI / 5), rtol=1e-12)
     assert min(c.angles) == pytest.approx(0.3)
     with pytest.raises(ValueError):

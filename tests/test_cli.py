@@ -220,6 +220,19 @@ def test_energy_csv(capsys):
     assert math.isclose(float(row3[4]), 9.0 / 4.0, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("command", ["asympt", "energy"])
+@pytest.mark.parametrize("s", ["inf", "-1", "0", "nan", "abc"])
+def test_bad_exponent_is_usage_error(capsys, command, s):
+    # the riesz_kernel rule, finite s > 0, applied while parsing: nothing
+    # is computed and no CSV header is printed
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--s", s, "--n", "3"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"riesz:{s}" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ def test_power_kernel_values_and_flags():
     assert k(0.0) == 0.0
     assert_allclose(k(math.pi), -math.sqrt(2.0), rtol=1e-15)
     assert k.strictly_convex
-    assert not power_kernel(1.0).strictly_convex
+    # f = -2 sin(theta/2) has f'' = sin(theta/2)/2 > 0 on (0, pi]
+    assert power_kernel(1.0).strictly_convex
 
 
 def test_singular_kernels_return_inf_at_zero():
@@ -184,26 +185,30 @@ def test_validator_flags_a_nan_value():
 
 def test_validator_flags_increasing_kernel():
     k = custom_kernel(lambda t: t, value_at_zero=0.0)
-    report = validate_kernel(k, grid_size=256)
+    report = validate_kernel(k)
     assert not report.non_increasing.passed
     assert report.non_increasing.witness is not None
 
 
 def test_validator_flags_concave_kernel():
     k = custom_kernel(lambda t: -(t ** 2), value_at_zero=0.0)
-    report = validate_kernel(k, grid_size=256)
+    report = validate_kernel(k)
     assert report.non_increasing.passed
     assert not report.convex.passed
     assert report.failures == ("convex",)
 
 
 def test_no_kernel_can_declare_the_hypotheses_away():
-    # monotonicity and convexity are checked on every kernel, never declared;
-    # a declared slope is checked against fn
+    # monotonicity, convexity and strict convexity are measured on every
+    # kernel, never declared; a declared slope is checked against fn
     names = [f.name for f in dataclasses.fields(Kernel)]
-    assert names == ["fn", "value_at_zero", "strictly_convex", "label", "slope"]
+    assert names == ["fn", "value_at_zero", "label", "slope"]
     with pytest.raises(TypeError):
         custom_kernel(lambda t: -(t ** 2), 0.0, convex=False)
+    with pytest.raises(TypeError):
+        custom_kernel(lambda t: math.pi - t, math.pi, strictly_convex=True)
+    with pytest.raises(TypeError):
+        Kernel(lambda t: math.pi - t, math.pi, strictly_convex=True)
 
 
 def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
@@ -237,10 +242,11 @@ def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
 ], ids=lambda x: getattr(x, "label", None))
 def test_the_refusal_names_every_failed_check(kernel, failed):
     # sin rises, then bends down; -t**2 bends down and -t is not its slope.
-    # The concave kernel also fails its declared strict convexity, which
-    # bears only on uniqueness and is not refused
+    # Neither is strictly convex, which bears only on uniqueness: that is
+    # measured, and is no failure
     report = validate_kernel(kernel)
-    assert [n for n in report.failures if n != "strictly_convex"] == list(failed)
+    assert report.failures == failed
+    assert not kernel.strictly_convex
     named = "; ".join(f"{name} ({getattr(report, name).detail})"
                       for name in failed)
     with pytest.raises(ValueError) as excinfo:
@@ -293,15 +299,28 @@ def test_a_declared_slope_is_followed():
 
 
 def test_linear_kernel_is_convex_but_not_strictly():
-    flagged = custom_kernel(lambda t: math.pi - t, value_at_zero=math.pi,
-                            strictly_convex=True, label="linear")
-    report = validate_kernel(flagged, grid_size=256)
+    linear = custom_kernel(lambda t: math.pi - t, value_at_zero=math.pi,
+                           label="linear")
+    report = validate_kernel(linear)
     assert report.convex.passed
     assert not report.strictly_convex.passed
+    assert report.ok
+    assert not linear.strictly_convex
 
-    honest = custom_kernel(lambda t: math.pi - t, value_at_zero=math.pi,
-                           strictly_convex=False, label="linear")
-    assert validate_kernel(honest, grid_size=256).ok
+
+@pytest.mark.parametrize("kernel, strict", [
+    (riesz_kernel(0.01), True), (riesz_kernel(2), True),
+    (riesz_kernel(1000), True), (log_kernel(), True),
+    (power_kernel(0.01), True), (power_kernel(0.5), True),
+    (power_kernel(1.0), True),
+    # straight pieces have no strict midpoint margin, which is no failure
+    (custom_kernel(lambda t: np.maximum(1.0 - t, 0.0), 1.0, label="flat-tail"),
+     False),
+], ids=lambda x: getattr(x, "label", None))
+def test_strict_convexity_is_measured(kernel, strict):
+    report = validate_kernel(kernel)
+    assert report.ok
+    assert report.strictly_convex.passed == kernel.strictly_convex == strict
 
 
 def test_kernel_labels():
@@ -336,9 +355,9 @@ def _loop_checks(theta, values):
     lambda t: np.abs(t - 1.0),
 ])
 def test_vectorized_checks_find_the_loops_first_violation(fn):
-    k = custom_kernel(fn, math.inf, strictly_convex=True)
-    report = validate_kernel(k, grid_size=200)
-    theta = np.pi * np.arange(1, 201) / 200
+    k = custom_kernel(fn, math.inf)
+    report = validate_kernel(k)
+    theta = np.pi * np.arange(1, 1025) / 1024
     values = k.eval(theta).tolist()
     got = (report.non_increasing, report.convex, report.strictly_convex)
     for result, i, gap in zip(got, _loop_checks(theta, values), (1, 2, 2)):

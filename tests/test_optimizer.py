@@ -142,8 +142,9 @@ def test_every_restart_reaches_equal_spacing_value(kernel):
     custom_kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, label="pi-t^2"),
 ], ids=lambda k: k.label)
 def test_finite_kernels_report_equal_spacing(kernel):
-    # Gap minima of these non-strictly convex kernels can sit on a node,
-    # where the slope estimate must stay one-sided and warning-free.
+    # These kernels have a finite slope at distance 0, so a gap's minimum
+    # can sit on a node, where the slope estimate must stay one-sided and
+    # warning-free.
     for n in range(1, 7):
         result = maximize_polarization(kernel, n)
         equal = polarization(kernel, equally_spaced(n)).value
@@ -190,13 +191,24 @@ def test_perturbation_deficit_shrinks_with_magnitude():
 
 
 def test_perturbation_non_strict_kernel_flagged():
-    # The first-power kernel is convex but not strictly convex, so ties are
-    # possible and the report must say strictness is not guaranteed.
-    report = perturbation_test(power_kernel(1.0), 4, magnitude=0.05,
-                               trials=20, seed=2)
+    # pi - t is convex but not strictly convex, so ties are possible and the
+    # report must say strictness is not guaranteed.
+    linear = custom_kernel(lambda t: math.pi - t, math.pi, label="pi-t")
+    report = perturbation_test(linear, 4, magnitude=0.05, trials=20, seed=2)
     assert not report.strict_expected
     # ... but the deficits must still never be meaningfully negative.
     assert report.min_deficit > -1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_perturbation_first_power_kernel_is_strict(n):
+    # -2 sin(theta/2) is strictly convex, as the validator measures, so
+    # every perturbation of equal gaps scores strictly below them
+    report = perturbation_test(power_kernel(1.0), n, magnitude=0.05,
+                               trials=100, seed=n)
+    assert report.strict_expected
+    assert report.all_strictly_below
+    assert report.min_deficit > 0.0
 
 
 def test_perturbation_validation():

@@ -196,7 +196,7 @@ def test_pair_inequality_strict_case():
 
 def test_pair_inequality_linear_kernel_non_strict():
     linear = custom_kernel(lambda t: math.pi - t, value_at_zero=math.pi,
-                           strictly_convex=False, label="linear")
+                           label="linear")
     report = check_pair_inequality(linear, 0.0, math.pi / 2,
                                    math.pi / 8, samples=1000)
     assert report.max_violation <= 1e-12
