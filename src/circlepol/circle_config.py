@@ -73,15 +73,19 @@ class Configuration:
 
         Nonnegative and summing to 2*pi; a single point has one gap of 2*pi.
         """
-        a = self.angles
-        n = len(a)
-        out = [a[k + 1] - a[k] for k in range(n - 1)]
-        out.append(a[0] + TWO_PI - a[n - 1])
-        return tuple(out)
+        return tuple(_gap_rows(self.angle_array).tolist())
 
     @property
     def separation(self) -> float:
         return min(self.gaps)
+
+
+def _gap_rows(angles: np.ndarray) -> np.ndarray:
+    """Counterclockwise gaps of sorted angles, along the last axis."""
+    gaps = np.empty_like(angles)
+    gaps[..., :-1] = angles[..., 1:] - angles[..., :-1]
+    gaps[..., -1] = angles[..., 0] + TWO_PI - angles[..., -1]
+    return gaps
 
 
 def equally_spaced(n: int) -> Configuration:
@@ -127,14 +131,30 @@ def config_from_gaps(gaps: Sequence[float], anchor: float = 0.0) -> Configuratio
     g = np.asarray(gaps, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise ValueError("gaps must be a nonempty vector")
-    if not np.isfinite(g).all():
-        raise ValueError(f"gaps must be finite, got {g!r}")
-    if (g < -ANGLE_TOL).any():
+    return Configuration(_angle_rows(g[None], anchor)[0])
+
+
+def _angle_rows(gaps: np.ndarray, anchor: float) -> np.ndarray:
+    """Sorted angles in [0, 2*pi) of the configurations with the gap rows
+    ``gaps`` ``(k, n)``, each with its first gap starting at ``anchor``.
+
+    Raises ``ValueError`` unless every gap is finite and nonnegative and
+    every row sums to 2*pi (within 1e-9).
+    """
+    if not np.isfinite(gaps).all():
+        raise ValueError(f"gaps must be finite, got {gaps!r}")
+    if (gaps < -ANGLE_TOL).any():
         raise ValueError("gaps must be nonnegative")
-    if abs(g.sum() - TWO_PI) > 1e-9:
-        raise ValueError(f"gaps must sum to 2*pi, got {g.sum()!r}")
-    positions = anchor + np.concatenate(([0.0], np.cumsum(g[:-1])))
-    return Configuration(positions)
+    sums = gaps.sum(axis=1)
+    if (np.abs(sums - TWO_PI) > 1e-9).any():
+        raise ValueError(f"gaps must sum to 2*pi, got {sums!r}")
+    angles = np.zeros_like(gaps)
+    np.cumsum(gaps[:, :-1], axis=1, out=angles[:, 1:])
+    # what _wrap does to each angle
+    angles = np.mod(anchor + angles, TWO_PI)
+    angles[angles >= TWO_PI] -= TWO_PI
+    angles.sort(axis=1)
+    return angles
 
 
 # --- serialization -------------------------------------------------------

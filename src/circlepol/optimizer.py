@@ -19,7 +19,8 @@ import numpy as np
 
 from .circle_config import TWO_PI, Configuration, config_from_gaps, equally_spaced
 from .kernels import Kernel
-from .potential import _WITNESS_ROUNDING, _slope_terms, polarization
+from .potential import (_WITNESS_ROUNDING, _polarize_rows, _slope_terms,
+                        polarization)
 
 __all__ = [
     "OptimizeOptions",
@@ -109,9 +110,11 @@ def _ascend(kernel: Kernel, start: np.ndarray,
     """
     config = config_from_gaps(start)
     result = polarization(kernel, config)
+    value = result.value
     for iters in range(max_iters):
         x = config.angle_array
-        z, m = result.arcs["angle"], result.arcs["value"]
+        arcs = result.arcs
+        z, m = arcs["angle"], arcs["value"]
         # a value or slope past the float range is infinite, as in the
         # engine.  Unit rows: else lstsq's cutoff drops every equation but
         # the one of a tiny gap, whose m_j and slopes are huge under a
@@ -124,25 +127,26 @@ def _ascend(kernel: Kernel, start: np.ndarray,
         # belongs to a tiny gap whose minimum is far above P: it is left out
         rows = np.isfinite(m) & np.isfinite(scale)
         if not rows.any():
-            return config, result.value, iters
+            return config, value, iters
         step, *_ = np.linalg.lstsq(system[rows] / scale[rows, None],
                                    -m[rows] / scale[rows], rcond=None)
-        rounding = _WITNESS_ROUNDING * config.n * abs(result.value)
-        if step[-1] - result.value <= rounding:
-            return config, result.value, iters
+        rounding = _WITNESS_ROUNDING * config.n * abs(value)
+        if step[-1] - value <= rounding:
+            return config, value, iters
         dx = step[:-1]
         for _ in range(_HALVINGS + 1):
             moved = np.concatenate(([0.0], x[1:] + dx))
             if (np.diff(moved, append=TWO_PI) > 0.0).all():
                 trial = Configuration(moved)
                 trial_result = polarization(kernel, trial)
-                if trial_result.value > result.value:
+                trial_value = trial_result.value
+                if trial_value > value:
                     break
             dx = dx / 2.0
         else:
-            return config, result.value, iters
-        config, result = trial, trial_result
-    return config, result.value, max_iters
+            return config, value, iters
+        config, result, value = trial, trial_result, trial_value
+    return config, value, max_iters
 
 
 def maximize_polarization(
@@ -209,7 +213,8 @@ def perturbation_test(
 
     Each trial jitters every gap by a uniform amount up to ``magnitude``
     and renormalizes the sum; for strictly convex kernels every perturbed
-    configuration must score strictly below equal spacing.
+    configuration must score strictly below equal spacing.  Equal spacing
+    and every trial are minimized in one engine call.
     """
     if n < 2:
         raise ValueError("perturbation needs n >= 2")
@@ -219,12 +224,14 @@ def perturbation_test(
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    equal_value = polarization(kernel, equally_spaced(n)).value
-    deficits = np.empty(trials)
-    for t in range(trials):
-        gaps = project_gaps(TWO_PI / n + rng.uniform(-magnitude, magnitude, n))
-        value = polarization(kernel, config_from_gaps(gaps)).value
-        deficits[t] = equal_value - value
+    rows = [equally_spaced(n).angles]
+    rows += [config_from_gaps(project_gaps(
+        TWO_PI / n + rng.uniform(-magnitude, magnitude, n))).angles
+        for _ in range(trials)]
+    # the equal gaps and every trial are n-point configurations: one call
+    equal, *perturbed = _polarize_rows(kernel, np.array(rows))
+    equal_value = equal.value
+    deficits = np.array([equal_value - r.value for r in perturbed])
     return StrictnessReport(
         n=n,
         magnitude=magnitude,

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .circle_config import ANGLE_TOL, TWO_PI, Configuration, _signed_wrap
+from .circle_config import ANGLE_TOL, TWO_PI, Configuration, _gap_rows, _signed_wrap
 from .kernels import Kernel, _require_hypotheses
 
 __all__ = [
@@ -68,30 +68,37 @@ def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
     Values at a node of a singular kernel are ``+inf``.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _values(kernel, config.angle_array, z)
+    return _values(kernel, config.angle_array[None], z,
+                   np.zeros(z.size, dtype=np.intp))
 
 
-def _values(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _values(kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
+            owner: np.ndarray) -> np.ndarray:
     # a kernel maps to [0, inf], so a value past the float range is +inf
     with np.errstate(over="ignore"):
-        return _row_sums(_potential_sums, kernel, nodes, z)
+        return _row_sums(_potential_sums, kernel, nodes, z, owner)
 
 
-def _row_sums(sums, kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``sums(kernel, nodes, block)`` over blocks of about ``_CHUNK_BUDGET``
-    (probe, node) pairs, for the probes ``z``.
+def _row_sums(sums, kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
+              owner: np.ndarray) -> np.ndarray:
+    """``sums(kernel, node_rows, block)`` over blocks of about
+    ``_CHUNK_BUDGET`` (probe, node) pairs, for the probes ``z``.
 
-    ``sums`` returns one sum per probe along its last axis; leading axes
-    that stack several kinds of sums carry through to the result.  Each row
-    is summed whole, so no result depends on the block size.
+    ``nodes`` holds one row of node angles per configuration ``(c, n)``,
+    and ``owner`` the row of each probe of ``z``, flattened; each block
+    gathers the rows of its own probes.  ``sums`` returns one sum per probe
+    along its last axis; leading axes that stack several kinds of sums
+    carry through to the result.  Each row is summed whole, so no result
+    depends on the block size or on which probes share a block.
     """
     flat = z.reshape(-1)
-    step = max(1, _CHUNK_BUDGET // nodes.size)
+    step = max(1, _CHUNK_BUDGET // nodes.shape[1])
     if flat.size <= step:
-        out = sums(kernel, nodes, flat)
+        out = sums(kernel, nodes[owner], flat)
     else:
-        out = np.concatenate([sums(kernel, nodes, flat[i:i + step])
-                              for i in range(0, flat.size, step)], axis=-1)
+        out = np.concatenate([
+            sums(kernel, nodes[owner[i:i + step]], flat[i:i + step])
+            for i in range(0, flat.size, step)], axis=-1)
     return out.reshape(out.shape[:-1] + z.shape)
 
 
@@ -126,20 +133,46 @@ def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
 _ARC_DTYPE = np.dtype([("gap", np.int64), ("angle", float), ("value", float)])
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class PolarizationResult:
     """Minimum of the potential over the circle, with where it is attained.
 
+    Holds the point count ``n`` and one ``(gap, angle, value)`` record per
+    nondegenerate gap, 24 bytes each, in the immutable buffer ``records``,
+    about half the memory a numpy array per result would keep for a caller
+    that holds many small results.  ``arcs`` is a read-only structured
+    array over that buffer, and ``per_arc_minima`` gives the same records
+    as a tuple of tuples.  ``value`` and ``witnesses`` are worked out from
+    ``arcs`` on each access: ``value`` is the least per-gap minimum, and
     ``witnesses`` lists every per-gap minimizer whose value is within
-    ``WITNESS_TOL`` plus the rounding of an n-term sum of the best, sorted by
-    angle.  ``arcs`` is a read-only structured array with one
-    ``(gap, angle, value)`` record per nondegenerate gap, 24 bytes each;
-    ``per_arc_minima`` gives the same records as a tuple of tuples.
+    ``WITNESS_TOL`` plus the rounding of an n-term sum of it, sorted by
+    angle; when the least minimum is infinite, the minimizers of the gaps
+    whose minimum equals it.
     """
 
-    value: float
-    witnesses: Tuple[float, ...]
-    arcs: np.ndarray
+    n: int
+    records: bytes
+
+    @property
+    def arcs(self) -> np.ndarray:
+        return np.frombuffer(self.records, dtype=_ARC_DTYPE)
+
+    @property
+    def value(self) -> float:
+        return float(self.arcs["value"].min())
+
+    @property
+    def witnesses(self) -> Tuple[float, ...]:
+        arcs = self.arcs
+        vs = arcs["value"]
+        value = float(vs.min())
+        if math.isinf(value):
+            # inf - inf has no sign: the ties are the gaps at the same inf
+            close = vs == value
+        else:
+            close = vs - value <= (WITNESS_TOL
+                                   + _WITNESS_ROUNDING * self.n * abs(value))
+        return tuple(np.sort(arcs["angle"][close]).tolist())
 
     @property
     def per_arc_minima(self) -> Tuple[Tuple[int, float, float], ...]:
@@ -151,14 +184,25 @@ class PolarizationResult:
         return (self.value == other.value and self.witnesses == other.witnesses
                 and self.per_arc_minima == other.per_arc_minima)
 
+    def __repr__(self):
+        return (f"PolarizationResult(value={self.value!r}, "
+                f"witnesses={self.witnesses!r}, arcs={self.per_arc_minima!r})")
+
 
 def _minimize_on_arcs(
     kernel: Kernel,
     nodes: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
+    owner: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the potential on each node-free arc ``[starts, starts + lengths]``.
+
+    ``nodes`` holds one row of node angles per configuration ``(c, n)``,
+    and ``owner`` the row of each arc, so that a whole family of
+    configurations is one call.  An arc's probes depend on nothing but its
+    own bracket, its own nodes and the probe count, so every arc gets the
+    same result bit for bit, whichever arcs it is minimized with.
 
     The potential is convex on such an arc, so its derivative rises through
     zero once there.  Each arc keeps a bracket of that root, all arcs at
@@ -201,7 +245,7 @@ def _minimize_on_arcs(
             secant = (np.isfinite(fa) & np.isfinite(fb)
                       & (b - a <= lengths[live] * 2.0 ** (_CERTIFIED_BITS - k)))
             p = np.where(secant, p, mid[live])
-            slope, size = _row_sums(_slope_sums, kernel, nodes, p)
+            slope, size = _row_sums(_slope_sums, kernel, nodes, p, owner[live])
             flat = np.isnan(slope) | (np.isfinite(size)
                                       & (np.abs(slope) <= _SLOPE_NOISE * size))
             # Anderson-Bjorck: an end kept twice in a row has its slope
@@ -219,7 +263,7 @@ def _minimize_on_arcs(
     # be a node: keep it inside wherever the arc has an interior float
     z = np.clip(0.5 * (lo + hi), np.nextafter(starts, ends),
                 np.nextafter(ends, starts))
-    values = _values(kernel, nodes, z)
+    values = _values(kernel, nodes, z, owner)
     if np.isnan(values).any():
         raise ValueError("kernel returned NaN inside an arc")
     return z % TWO_PI, values
@@ -240,18 +284,25 @@ def minimum_on_arc(
     ``config`` lies inside the arc, more than ``ANGLE_TOL`` from both ends:
     the potential need not be convex there.
     """
-    if not (math.isfinite(start) and 0.0 <= length < math.inf):
-        raise ValueError(f"need finite start, length >= 0: {start!r}, {length!r}")
-    offsets = (config.angle_array - start) % TWO_PI
-    if ((offsets > ANGLE_TOL) & (offsets < length - ANGLE_TOL)).any():
-        raise ValueError("a node of the configuration lies inside the arc")
-    xs, vs = _minimize_on_arcs(
-        kernel,
-        config.angle_array,
-        np.array([float(start)]),
-        np.array([float(length)]),
-    )
+    nodes = config.angle_array[None]
+    starts, lengths = np.array([float(start)]), np.array([float(length)])
+    _require_empty_arcs(nodes, starts, lengths)
+    xs, vs = _minimize_on_arcs(kernel, nodes, starts, lengths,
+                               np.zeros(1, dtype=np.intp))
     return float(xs[0]), float(vs[0])
+
+
+def _require_empty_arcs(nodes: np.ndarray, starts: np.ndarray,
+                        lengths: np.ndarray) -> None:
+    """Raise ``ValueError`` unless each arc ``[starts, starts + lengths]``
+    is finite with a length >= 0 and holds no node of its row of ``nodes``
+    ``(m, n)`` more than ``ANGLE_TOL`` from both its ends."""
+    if not (np.isfinite(starts).all() and (0.0 <= lengths).all()
+            and (lengths < math.inf).all()):
+        raise ValueError(f"need finite start, length >= 0: {starts!r}, {lengths!r}")
+    offsets = (nodes - starts[:, None]) % TWO_PI
+    if ((offsets > ANGLE_TOL) & (offsets < lengths[:, None] - ANGLE_TOL)).any():
+        raise ValueError("a node of the configuration lies inside the arc")
 
 
 def polarization(kernel: Kernel, config: Configuration) -> PolarizationResult:
@@ -261,18 +312,26 @@ def polarization(kernel: Kernel, config: Configuration) -> PolarizationResult:
     closure of the neighbouring gaps), so coincident points are handled
     naturally.
     """
-    nodes = config.angle_array
-    gaps = np.asarray(config.gaps)
-    live = np.nonzero(gaps > 0.0)[0]
-    xs, vs = _minimize_on_arcs(kernel, nodes, nodes[live], gaps[live])
+    return _polarize_rows(kernel, config.angle_array[None])[0]
+
+
+def _polarize_rows(kernel: Kernel, nodes: np.ndarray) -> List[PolarizationResult]:
+    """The :func:`polarization` of each row of ``nodes`` ``(c, n)``, each
+    row a configuration's sorted angles, in one engine call.
+
+    Each result equals, bit for bit, the one of its row alone.
+    """
+    n = nodes.shape[1]
+    gaps = _gap_rows(nodes)
+    keep = gaps > 0.0
+    rows, live = np.nonzero(keep)
+    xs, vs = _minimize_on_arcs(kernel, nodes, nodes[keep], gaps[keep], rows)
     arcs = np.empty(live.size, dtype=_ARC_DTYPE)
     arcs["gap"], arcs["angle"], arcs["value"] = live, xs, vs
-    arcs.flags.writeable = False
-
-    value = float(vs.min())
-    tol = WITNESS_TOL + _WITNESS_ROUNDING * config.n * abs(value)
-    witnesses = tuple(np.sort(xs[vs - value <= tol]).tolist())
-    return PolarizationResult(value=value, witnesses=witnesses, arcs=arcs)
+    records, size = arcs.tobytes(), _ARC_DTYPE.itemsize
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return [PolarizationResult(n, records[a * size:b * size])
+            for a, b in zip([0, *ends], ends)]
 
 
 def potential_profile(
@@ -288,5 +347,6 @@ def potential_profile(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     zs = TWO_PI * np.arange(resolution) / resolution
-    vals = _values(kernel, config.angle_array, zs)
+    vals = _values(kernel, config.angle_array[None], zs,
+                   np.zeros(resolution, dtype=np.intp))
     return np.column_stack([zs, vals])

@@ -18,9 +18,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .circle_config import TWO_PI, Configuration, _wrap, config_from_gaps
+from . import potential
+from .circle_config import TWO_PI, Configuration, _angle_rows, _wrap
 from .kernels import Kernel
-from .potential import minimum_on_arc, potential_values
+from .potential import _minimize_on_arcs, _require_empty_arcs, potential_values
 
 __all__ = [
     "TransportPlan",
@@ -127,21 +128,20 @@ def homotopy_config(source: Configuration, plan: TransportPlan, t: float) -> Con
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    return _stage_config(source, plan, _stage_gaps(plan, t))
+    angles, _ = _stages(source, plan, np.array([float(t)]))
+    return Configuration(angles[0])
 
 
-def _stage_gaps(plan: TransportPlan, t: float) -> np.ndarray:
-    return ((1.0 - t) * np.asarray(plan.source_gaps)
-            + t * np.asarray(plan.target_gaps))
-
-
-def _stage_config(source: Configuration, plan: TransportPlan,
-                  gaps: np.ndarray) -> Configuration:
-    """The stage with gap vector ``gaps``; the plan's anchor point stays put."""
+def _stages(source: Configuration, plan: TransportPlan,
+            ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted angles of the stages at ``ts``, one row each, and the
+    length of each stage's tracked arc, the gap after the anchor."""
     if plan.n != source.n:
         raise ValueError("plan size does not match configuration")
     j = plan.zero_index
-    return config_from_gaps(np.roll(gaps, -j), anchor=source.angles[j])
+    gaps = ((1.0 - ts)[:, None] * np.asarray(plan.source_gaps)
+            + ts[:, None] * np.asarray(plan.target_gaps))
+    return _angle_rows(np.roll(gaps, -j, axis=1), source.angles[j]), gaps[:, j]
 
 
 def min_curve(
@@ -155,19 +155,33 @@ def min_curve(
     The tracked arc runs from the anchor point to its counterclockwise
     neighbour at each stage.  Returns shape ``(grid, 2)`` rows ``(t, h)``;
     ``h`` is nondecreasing for convex nonincreasing kernels and ends at the
-    polarization of the equally spaced target.
+    polarization of the equally spaced target.  The stages are minimized
+    in one engine call per block of about ``_CHUNK_BUDGET / n`` of them
+    (all of them at small n), each row equal bit for bit to
+    ``minimum_on_arc`` on :func:`homotopy_config` at its stage.  Raises
+    ``ValueError`` when a node of a stage lies inside its tracked arc, as
+    ``minimum_on_arc`` does.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    j = plan.zero_index
-    anchor = source.angles[j]
-    rows = np.empty((grid, 2))
-    for i, t in enumerate(np.linspace(0.0, 1.0, grid)):
-        gaps = _stage_gaps(plan, t)
-        config_t = _stage_config(source, plan, gaps)
-        _, value = minimum_on_arc(kernel, config_t, anchor, gaps[j])
-        rows[i] = (t, value)
-    return rows
+    ts = np.linspace(0.0, 1.0, grid)
+    # a block of stages holds as many angles as a block of engine pairs, so
+    # a fine grid at large n keeps no (grid, n) temporary
+    step = max(1, potential._CHUNK_BUDGET // source.n)
+    values = np.concatenate([_tracked_minima(kernel, source, plan, ts[i:i + step])
+                             for i in range(0, grid, step)])
+    return np.column_stack([ts, values])
+
+
+def _tracked_minima(kernel: Kernel, source: Configuration, plan: TransportPlan,
+                    ts: np.ndarray) -> np.ndarray:
+    """The minimum over the tracked arc of each stage at ``ts``."""
+    angles, lengths = _stages(source, plan, ts)
+    anchor = np.full(ts.size, source.angles[plan.zero_index])
+    _require_empty_arcs(angles, anchor, lengths)
+    _, values = _minimize_on_arcs(kernel, angles, anchor, lengths,
+                                  np.arange(ts.size))
+    return values
 
 
 @dataclass(frozen=True)

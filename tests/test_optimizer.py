@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from circlepol.circle_config import TWO_PI, equally_spaced
+from circlepol.circle_config import TWO_PI, config_from_gaps, equally_spaced
 from circlepol.kernels import (custom_kernel, log_kernel, power_kernel,
                                riesz_kernel)
 from circlepol.optimizer import (
@@ -209,6 +209,25 @@ def test_perturbation_first_power_kernel_is_strict(n):
     assert report.strict_expected
     assert report.all_strictly_below
     assert report.min_deficit > 0.0
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2.0), log_kernel(), power_kernel(1.0)],
+                         ids=lambda k: k.label)
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_perturbation_matches_the_trial_loop_bit_for_bit(kernel, n):
+    # one polarization per trial, as before all trials shared one call
+    magnitude, trials, seed = 0.05 * TWO_PI / n, 12, n
+    rng = np.random.default_rng(seed)
+    equal_value = polarization(kernel, equally_spaced(n)).value
+    deficits = []
+    for _ in range(trials):
+        gaps = project_gaps(TWO_PI / n + rng.uniform(-magnitude, magnitude, n))
+        deficits.append(equal_value - polarization(kernel, config_from_gaps(gaps)).value)
+    report = perturbation_test(kernel, n, magnitude, trials, seed=seed)
+    assert report.equal_value == equal_value
+    assert report.min_deficit == min(deficits)
+    assert report.max_deficit == max(deficits)
+    assert report.non_negative_count == sum(d <= 0.0 for d in deficits)
 
 
 def test_perturbation_validation():

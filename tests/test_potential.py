@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,51 @@ def test_per_arc_minima_are_one_read_only_array():
     assert r != polarization(riesz_kernel(3), c)
 
 
+def test_result_stores_its_records_once():
+    c = random_config(np.random.default_rng(3), 5)
+    r = polarization(riesz_kernel(2), c)
+    assert type(r.records) is bytes
+    assert r.n == 5 and len(r.records) == 24 * 5
+    with pytest.raises(ValueError):
+        r.arcs.flags.writeable = True
+    with pytest.raises(ValueError):
+        r.arcs["value"][0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.records = b""
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), riesz_kernel(400), log_kernel()],
+                         ids=lambda k: k.label)
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 20])
+def test_value_and_witnesses_follow_from_the_arcs(kernel, n):
+    # the formulas of the result's fields before they were derived
+    for c in (equally_spaced(n), random_config(np.random.default_rng(n), n)):
+        r = polarization(kernel, c)
+        xs, vs = r.arcs["angle"], r.arcs["value"]
+        value = float(vs.min())
+        assert r.value == value
+        if value < math.inf:
+            tol = potential.WITNESS_TOL + potential._WITNESS_ROUNDING * n * abs(value)
+            assert r.witnesses == tuple(np.sort(xs[vs - value <= tol]).tolist())
+
+
+def test_infinite_minimum_has_every_infinite_arc_as_witness():
+    # riesz:400 overflows on every arc of 20 equally spaced points; inf - inf
+    # would warn and leave no witness
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = polarization(riesz_kernel(400), equally_spaced(20))
+        assert r.value == math.inf
+        assert len(r.witnesses) == 20
+        assert r.witnesses == tuple(sorted(r.arcs["angle"].tolist()))
+
+
+def test_result_repr_shows_value_witnesses_and_arcs():
+    r = polarization(riesz_kernel(2), equally_spaced(2))
+    assert repr(r) == (f"PolarizationResult(value={r.value!r}, "
+                       f"witnesses={r.witnesses!r}, arcs={r.per_arc_minima!r})")
+
+
 def _counted(kernel):
     """``kernel`` with a count of the points its function and its slope
     evaluate, keeping the slope it has or has not.
@@ -232,6 +278,44 @@ def _hard_configs():
         gaps = np.random.default_rng(seed).dirichlet(np.full(24, 0.05))
         configs.append(Configuration(TWO_PI * np.cumsum(gaps)))
     return configs
+
+
+def _configs_by_size():
+    """Random configurations of mixed sizes, with coincident points, the
+    hard configurations and equal spacing, as node rows ``(c, n)`` by n."""
+    rng = np.random.default_rng(29)
+    configs = [random_config(rng, int(n)) for n in rng.integers(1, 12, 40)]
+    configs += [Configuration([1.0, 1.0, 4.0]), Configuration([2.0] * 4),
+                Configuration([0.5, 0.5, 0.5, 3.0, 3.0]), equally_spaced(5)]
+    configs += _hard_configs()
+    by_size = {}
+    for config in configs:
+        by_size.setdefault(config.n, []).append(config.angles)
+    return {n: np.array(rows) for n, rows in by_size.items()}
+
+
+@pytest.mark.parametrize("kernel", _both_paths(_HARD_KERNELS))
+def test_one_call_over_node_rows_matches_polarization_bit_for_bit(kernel):
+    for nodes in _configs_by_size().values():
+        batch = potential._polarize_rows(kernel, nodes)
+        assert len(batch) == len(nodes)
+        for row, got in zip(nodes, batch):
+            want = polarization(kernel, Configuration(row))
+            assert got.n == want.n
+            assert got.records == want.records
+            assert got == want
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel()],
+                         ids=lambda k: k.label)
+def test_node_rows_do_not_depend_on_the_block_size(kernel, monkeypatch):
+    # a block gathers the node rows of its own probes, whatever its size
+    results = []
+    for budget in (1, 7, 10**9):
+        monkeypatch.setattr(potential, "_CHUNK_BUDGET", budget)
+        results.append([r.records for nodes in _configs_by_size().values()
+                        for r in potential._polarize_rows(kernel, nodes)])
+    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("kernel", _both_paths(_HARD_KERNELS))

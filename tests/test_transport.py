@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (TWO_PI, InvalidGapVectorsError, check_pair_inequality,
-                       config_from_gaps, custom_kernel, equally_spaced,
-                       homotopy_config, min_curve, minimum_on_arc, polarization,
+from circlepol import (TWO_PI, InvalidGapVectorsError, TransportPlan,
+                       check_pair_inequality, config_from_gaps, custom_kernel,
+                       equally_spaced, homotopy_config, log_kernel, min_curve,
+                       minimum_on_arc, polarization, potential, power_kernel,
                        riesz_kernel, rotate, solve_gap_system, solve_transport)
 from helpers import cyclic_allclose, random_config
 
@@ -175,6 +176,81 @@ def test_min_curve_rows_are_the_homotopy_stages_bit_for_bit():
         gaps = (1.0 - t) * np.asarray(plan.source_gaps) + t * np.asarray(plan.target_gaps)
         _, value = minimum_on_arc(k, homotopy_config(src, plan, t), src.angles[j], gaps[j])
         assert h == value
+
+
+def _stage_loop(kernel, source, plan, grid):
+    """min_curve as one Configuration and one minimum_on_arc per stage."""
+    j = plan.zero_index
+    anchor = source.angles[j]
+    rows = np.empty((grid, 2))
+    for i, t in enumerate(np.linspace(0.0, 1.0, grid)):
+        gaps = (1.0 - t) * np.asarray(plan.source_gaps) + t * np.asarray(plan.target_gaps)
+        config_t = config_from_gaps(np.roll(gaps, -j), anchor=anchor)
+        _, value = minimum_on_arc(kernel, config_t, anchor, gaps[j])
+        rows[i] = (t, value)
+    return rows
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), riesz_kernel(20), log_kernel(),
+                                    power_kernel(0.5),
+                                    custom_kernel(lambda t: math.pi - t, math.pi)],
+                         ids=lambda k: k.label)
+def test_min_curve_matches_the_stage_loop_bit_for_bit(kernel):
+    rng = np.random.default_rng(30)
+    for n, grid in ((1, 3), (2, 2), (3, 101), (8, 17), (25, 40)):
+        src = random_config(rng, n)
+        for target in (equally_spaced(n), random_config(rng, n)):
+            plan = solve_transport(src, target)
+            assert np.array_equal(min_curve(kernel, src, plan, grid),
+                                  _stage_loop(kernel, src, plan, grid))
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel()], ids=lambda k: k.label)
+def test_min_curve_does_not_depend_on_its_stage_blocks(kernel, monkeypatch):
+    # a budget of 1 or 7 pairs splits the stages into blocks of 1 or a few
+    rng = np.random.default_rng(32)
+    for n, grid in ((2, 9), (3, 101), (8, 17)):
+        src = random_config(rng, n)
+        plan = solve_transport(src, equally_spaced(n))
+        curves = []
+        for budget in (1, 7, 10**9):
+            monkeypatch.setattr(potential, "_CHUNK_BUDGET", budget)
+            curves.append(min_curve(kernel, src, plan, grid).tobytes())
+        assert curves[0] == curves[1] == curves[2]
+        assert curves[2] == _stage_loop(kernel, src, plan, grid).tobytes()
+
+
+def test_homotopy_config_is_config_from_gaps_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 30):
+        src = random_config(rng, n)
+        plan = solve_transport(src, random_config(rng, n))
+        j = plan.zero_index
+        for t in (0.0, 1.0, *rng.random(5)):
+            gaps = (1.0 - t) * np.asarray(plan.source_gaps) + t * np.asarray(plan.target_gaps)
+            want = config_from_gaps(np.roll(gaps, -j), anchor=src.angles[j])
+            assert homotopy_config(src, plan, t).angles == want.angles
+
+
+def test_min_curve_rejects_a_plan_of_the_wrong_size():
+    src = equally_spaced(4)
+    plan = solve_transport(equally_spaced(3), equally_spaced(3))
+    with pytest.raises(ValueError, match="plan size"):
+        min_curve(riesz_kernel(2), src, plan, 5)
+    with pytest.raises(ValueError, match="plan size"):
+        homotopy_config(src, plan, 0.5)
+
+
+def test_min_curve_rejects_gaps_that_are_not_a_circle():
+    src = equally_spaced(3)
+    third = TWO_PI / 3
+    for source_gaps, match in (((third, third, 2 * third), "sum to 2"),
+                               ((2 * third, -third / 2, 1.5 * third), "nonnegative"),
+                               ((third, math.nan, third), "finite")):
+        plan = TransportPlan(deltas=(0.0, 0.0, 0.0), source_gaps=source_gaps,
+                             target_gaps=(third,) * 3)
+        with pytest.raises(ValueError, match=match):
+            min_curve(riesz_kernel(2), src, plan, 5)
 
 
 def test_plan_json_round_trip():
