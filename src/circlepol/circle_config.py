@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -36,38 +35,36 @@ TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-12
 
 
-def _wrap(angle: float) -> float:
-    a = float(angle) % TWO_PI
-    if a >= TWO_PI:  # rounding can land exactly on 2*pi
-        a -= TWO_PI
-    return a
+def _wrap(angles):
+    """``angles`` reduced mod 2*pi into [0, 2*pi), elementwise."""
+    a = np.mod(angles, TWO_PI)
+    # rounding can land exactly on 2*pi
+    return np.where(a >= TWO_PI, a - TWO_PI, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Sorted angles in [0, 2*pi); cyclic indexing, coincident points allowed."""
 
     angles: Tuple[float, ...]
 
     def __init__(self, angles: Iterable[float]):
-        canonical = tuple(sorted(_wrap(a) for a in angles))
-        if not canonical:
+        a = np.fromiter(angles, float)
+        if not a.size:
             raise ValueError("configuration needs at least one point")
-        if not all(math.isfinite(a) for a in canonical):
+        if not np.isfinite(a).all():
             raise ValueError("angles must be finite")
-        object.__setattr__(self, "angles", canonical)
+        object.__setattr__(self, "angles", tuple(np.sort(_wrap(a)).tolist()))
 
     @property
     def n(self) -> int:
         return len(self.angles)
 
-    @cached_property
+    @property
     def angle_array(self) -> np.ndarray:
-        arr = np.array(self.angles, dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return np.array(self.angles)
 
-    @cached_property
+    @property
     def gaps(self) -> Tuple[float, ...]:
         """Counterclockwise arc lengths between cyclically consecutive points.
 
@@ -150,11 +147,7 @@ def _angle_rows(gaps: np.ndarray, anchor: float) -> np.ndarray:
         raise ValueError(f"gaps must sum to 2*pi, got {sums!r}")
     angles = np.zeros_like(gaps)
     np.cumsum(gaps[:, :-1], axis=1, out=angles[:, 1:])
-    # what _wrap does to each angle
-    angles = np.mod(anchor + angles, TWO_PI)
-    angles[angles >= TWO_PI] -= TWO_PI
-    angles.sort(axis=1)
-    return angles
+    return np.sort(_wrap(anchor + angles))
 
 
 # --- serialization -------------------------------------------------------

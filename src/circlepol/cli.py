@@ -58,6 +58,8 @@ def _int_list(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty integer list")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"point counts must be >= 1, got {text!r}")
     return values
 
 
@@ -110,13 +112,17 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    if args.min_curve is not None:
+        # usage errors, raised before the plan is printed
+        if args.kernel is None:
+            args.usage_error("--min-curve needs --kernel")
+        if args.grid < 2:
+            args.usage_error("--grid must be at least 2")
     source = load_config_file(args.source, units=args.units)
     target = load_config_file(args.target, units=args.units)
     plan = solve_transport(source, target)
     print(plan.to_json())
     if args.min_curve is not None:
-        if args.kernel is None:
-            raise ValueError("--min-curve needs --kernel")
         rows = min_curve(args.kernel, source, plan, args.grid)
         with open(args.min_curve, "w", encoding="utf-8") as fh:
             fh.write("t,h\n")
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-curve", metavar="CSV",
                    help="write the homotopy minimum curve to this file")
     p.add_argument("--grid", type=int, default=101)
-    p.set_defaults(func=_cmd_transport)
+    p.set_defaults(func=_cmd_transport, usage_error=p.error)
 
     p = sub.add_parser("exact",
                        help="closed-form even-exponent polarization polynomial")

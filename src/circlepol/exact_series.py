@@ -25,9 +25,6 @@ __all__ = [
 
 ExactScalar = Union[int, Fraction]
 
-# headroom beyond anything shipped (which needs order <= 8)
-DEFAULT_ORDER = 16
-
 
 def _as_fraction(value: ExactScalar) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
@@ -53,9 +50,7 @@ def zeta_even_exact(k: int) -> Fraction:
     return Fraction((-1) ** (k + 1)) * b * 2 ** (2 * k - 1) / factorial(2 * k)
 
 
-def sinc_power_coefficients(
-    s: ExactScalar, order: int = DEFAULT_ORDER,
-) -> List[Tuple[Fraction, int]]:
+def sinc_power_coefficients(s: ExactScalar, order: int) -> List[Tuple[Fraction, int]]:
     """Even Taylor coefficients of ((sin pi z)/(pi z))**(-s).
 
     Returns ``(rational, grade)`` pairs: coefficient ``j`` of z**(2j) is

@@ -17,7 +17,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .circle_config import TWO_PI, Configuration, config_from_gaps, equally_spaced
+from .circle_config import (TWO_PI, Configuration, _angle_rows, config_from_gaps,
+                            equally_spaced)
 from .kernels import Kernel
 from .potential import (_WITNESS_ROUNDING, _polarize_rows, _slope_terms,
                         polarization)
@@ -79,9 +80,12 @@ class OptimizeResult:
 def project_gaps(x: np.ndarray) -> np.ndarray:
     """Nearest valid gap vector: clip negatives, rescale to sum 2*pi.
 
-    Raises ``ValueError`` on a non-finite entry.
+    Raises ``ValueError`` unless ``x`` is a nonempty vector of finite
+    entries.
     """
     g = np.asarray(x, dtype=float)
+    if g.ndim != 1 or g.size < 1:
+        raise ValueError("gaps must be a nonempty vector")
     if not np.isfinite(g).all():
         raise ValueError(f"gaps must be finite, got {g!r}")
     g = np.clip(g, 0.0, None)
@@ -223,13 +227,15 @@ def perturbation_test(
             f"magnitude must lie in (0, {(TWO_PI / n) / 4.0!r}), got {magnitude!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    rows = [equally_spaced(n).angles]
-    rows += [config_from_gaps(project_gaps(
-        TWO_PI / n + rng.uniform(-magnitude, magnitude, n))).angles
-        for _ in range(trials)]
+    # every trial's jitter in one draw: the stream of one draw of n per trial
+    jitter = np.random.default_rng(seed).uniform(-magnitude, magnitude,
+                                                 (trials, n))
+    # each jittered gap stays above 3/4 of the equal gap: no clip is needed
+    gaps = TWO_PI / n + jitter
+    gaps *= TWO_PI / gaps.sum(axis=1, keepdims=True)
+    rows = np.vstack([equally_spaced(n).angle_array, _angle_rows(gaps, 0.0)])
     # the equal gaps and every trial are n-point configurations: one call
-    equal, *perturbed = _polarize_rows(kernel, np.array(rows))
+    equal, *perturbed = _polarize_rows(kernel, rows)
     equal_value = equal.value
     deficits = np.array([equal_value - r.value for r in perturbed])
     return StrictnessReport(

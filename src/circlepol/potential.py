@@ -93,12 +93,10 @@ def _row_sums(sums, kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
     """
     flat = z.reshape(-1)
     step = max(1, _CHUNK_BUDGET // nodes.shape[1])
-    if flat.size <= step:
-        out = sums(kernel, nodes[owner], flat)
-    else:
-        out = np.concatenate([
-            sums(kernel, nodes[owner[i:i + step]], flat[i:i + step])
-            for i in range(0, flat.size, step)], axis=-1)
+    # no probes make one empty block
+    out = np.concatenate([
+        sums(kernel, nodes[owner[i:i + step]], flat[i:i + step])
+        for i in range(0, flat.size or 1, step)], axis=-1)
     return out.reshape(out.shape[:-1] + z.shape)
 
 
@@ -133,7 +131,7 @@ def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
 _ARC_DTYPE = np.dtype([("gap", np.int64), ("angle", float), ("value", float)])
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class PolarizationResult:
     """Minimum of the potential over the circle, with where it is attained.
 
@@ -177,12 +175,6 @@ class PolarizationResult:
     @property
     def per_arc_minima(self) -> Tuple[Tuple[int, float, float], ...]:
         return tuple(self.arcs.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, PolarizationResult):
-            return NotImplemented
-        return (self.value == other.value and self.witnesses == other.witnesses
-                and self.per_arc_minima == other.per_arc_minima)
 
     def __repr__(self):
         return (f"PolarizationResult(value={self.value!r}, "
@@ -347,6 +339,4 @@ def potential_profile(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     zs = TWO_PI * np.arange(resolution) / resolution
-    vals = _values(kernel, config.angle_array[None], zs,
-                   np.zeros(resolution, dtype=np.intp))
-    return np.column_stack([zs, vals])
+    return np.column_stack([zs, potential_values(kernel, config, zs)])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -44,7 +43,7 @@ class InvalidGapVectorsError(ValueError):
     """Gap difference vector is not balanced (components must sum to zero)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportPlan:
     """Canonical move vector carrying ``source_gaps`` to ``target_gaps``.
 
@@ -60,7 +59,7 @@ class TransportPlan:
     def n(self) -> int:
         return len(self.deltas)
 
-    @cached_property
+    @property
     def zero_index(self) -> int:
         """Smallest index whose component is zero (the homotopy anchor)."""
         for k, d in enumerate(self.deltas):
@@ -109,13 +108,12 @@ def solve_transport(source: Configuration, target: Configuration) -> TransportPl
     if source.n != target.n:
         raise ValueError(
             f"point counts differ: {source.n} vs {target.n}")
-    source_gaps = np.asarray(source.gaps)
-    target_gaps = np.asarray(target.gaps)
-    deltas = solve_gap_system(target_gaps - source_gaps)
+    source_gaps, target_gaps = source.gaps, target.gaps
+    deltas = solve_gap_system(np.asarray(target_gaps) - np.asarray(source_gaps))
     return TransportPlan(
         deltas=tuple(float(x) for x in deltas),
-        source_gaps=tuple(source.gaps),
-        target_gaps=tuple(target.gaps),
+        source_gaps=source_gaps,
+        target_gaps=target_gaps,
     )
 
 
@@ -229,8 +227,8 @@ def check_pair_inequality(
     for name, z in (("z1", z1), ("z2", z2)):
         if not math.isfinite(z):
             raise ValueError(f"{name} must be finite, got {z!r}")
-    z1, z2 = _wrap(z1), _wrap(z2)
-    between_len = _wrap(z2 - z1)  # arc z1 -> z2, counterclockwise
+    z1, z2 = _wrap([z1, z2]).tolist()
+    between_len = float(_wrap(z2 - z1))  # arc z1 -> z2, counterclockwise
     complement_len = TWO_PI - between_len
     coincident = between_len == 0.0
     if not 0.0 < eps < complement_len / 2.0:

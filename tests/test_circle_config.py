@@ -24,6 +24,72 @@ def test_wrap_handles_exact_two_pi():
     assert all(0.0 <= a < TWO_PI for a in c.angles)
 
 
+def _wrap_per_float(angle):
+    """The canonical form of one angle as each float was once wrapped:
+    CPython's float ``%``, then the exact-2*pi fix."""
+    a = float(angle) % TWO_PI
+    if a >= TWO_PI:
+        a -= TWO_PI
+    return a
+
+
+# signed zeros, subnormals, the floats next to and at multiples of 2*pi, and
+# angles so large that the reduction keeps few of their bits
+EDGE_ANGLES = [0.0, -0.0, -1e-300, 1e-300, -5e-324, 5e-324,
+               float(np.nextafter(TWO_PI, 0.0)), float(np.nextafter(-TWO_PI, 0.0)),
+               TWO_PI, -TWO_PI, 14 * math.pi, -14 * math.pi, math.pi, -math.pi,
+               1e17, -1e17, 1e-17, -1e-17, 7.0, -7.0]
+
+
+def _edge_and_random_lists():
+    rng = np.random.default_rng(20240518)
+    yield EDGE_ANGLES
+    for a in EDGE_ANGLES:
+        yield [a]
+    for _ in range(2000):
+        size = int(rng.integers(1, 9))
+        picks = rng.integers(len(EDGE_ANGLES), size=size)
+        scales = 10.0 ** rng.integers(-20, 20, size=size)
+        yield [EDGE_ANGLES[p] if rng.random() < 0.4 else float(rng.normal() * s)
+               for p, s in zip(picks, scales)]
+
+
+def test_canonical_form_matches_the_per_float_rule_bit_for_bit():
+    # float.hex tells -0.0 from 0.0, which == does not
+    for angles in _edge_and_random_lists():
+        want = sorted(_wrap_per_float(a) for a in angles)
+        got = Configuration(angles).angles
+        assert [a.hex() for a in got] == [a.hex() for a in want], angles
+        assert all(type(a) is float for a in got)
+
+
+def test_gap_rows_canonicalize_like_the_per_float_rule():
+    rng = np.random.default_rng(7)
+    for anchor in EDGE_ANGLES:
+        for n in (1, 2, 5, 9):
+            gaps = rng.dirichlet(np.ones(n)) * TWO_PI
+            cumulative = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+            want = sorted(_wrap_per_float(anchor + c) for c in cumulative.tolist())
+            got = config_from_gaps(gaps, anchor).angles
+            assert [a.hex() for a in got] == [a.hex() for a in want], (anchor, n)
+
+
+def test_equal_configurations_hash_equal_and_are_dict_keys():
+    a = Configuration([2.0, 1.0, 5.0])
+    b = Configuration(np.array([5.0, 2.0, 1.0]))
+    assert a == b and hash(a) == hash(b)
+    assert {a: "first"}[b] == "first"
+    assert a != Configuration([1.0, 2.0])
+    assert len({a, b, Configuration([1.0, 2.0])}) == 2
+
+
+def test_configuration_holds_only_its_angles():
+    c = Configuration([1.0, 2.0])
+    assert not hasattr(c, "__dict__")
+    assert c.gaps == (1.0, TWO_PI - 1.0)
+    assert c.angle_array.tolist() == [1.0, 2.0]
+
+
 def test_empty_configuration_rejected():
     with pytest.raises(ValueError):
         Configuration([])

@@ -180,11 +180,30 @@ def test_transport_min_curve_requires_kernel(capsys, tmp_path):
     tgt = tmp_path / "tgt.json"
     src.write_text(json.dumps([0.0, 1.0, 2.0]))
     tgt.write_text(json.dumps([0.0, 2.0, 4.0]))
-    code, _, err = run(capsys, "transport", "--source", str(src),
-                       "--target", str(tgt),
-                       "--min-curve", str(tmp_path / "c.csv"))
-    assert code == 1
-    assert "--kernel" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["transport", "--source", str(src), "--target", str(tgt),
+              "--min-curve", str(tmp_path / "c.csv")])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    # rejected before the plan is printed
+    assert captured.out == ""
+    assert "--kernel" in captured.err
+
+
+def test_transport_min_curve_grid_below_two_is_usage_error(capsys, tmp_path):
+    src = tmp_path / "src.json"
+    tgt = tmp_path / "tgt.json"
+    src.write_text(json.dumps([0.0, 1.0, 2.0]))
+    tgt.write_text(json.dumps([0.0, 2.0, 4.0]))
+    curve = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["transport", "--source", str(src), "--target", str(tgt),
+              "--kernel", "riesz:2", "--min-curve", str(curve), "--grid", "1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid" in captured.err
+    assert not curve.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +250,18 @@ def test_bad_exponent_is_usage_error(capsys, command, s):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"riesz:{s}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["asympt", "energy"])
+@pytest.mark.parametrize("counts", ["0", "3,0", "2,-1"])
+def test_point_count_below_one_is_usage_error(capsys, command, counts):
+    # refused while parsing, so no CSV header or earlier row is printed
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--s", "2", "--n", counts])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ">= 1" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,15 @@ def test_project_gaps_rejects_a_non_finite_entry(bad):
         project_gaps(np.array([bad, 1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [[], [[1.0, 2.0], [3.0, 4.0]]],
+                         ids=["empty", "matrix"])
+def test_project_gaps_rejects_anything_but_a_nonempty_vector(bad):
+    # unchecked, an empty vector divides by zero and a matrix is rescaled
+    # by the total of all its rows
+    with pytest.raises(ValueError, match="nonempty vector"):
+        project_gaps(bad)
+
+
 def test_project_gaps_is_idempotent():
     rng = np.random.default_rng(5)
     x = rng.normal(size=6)

@@ -21,6 +21,11 @@ def test_two_point_hand_value():
     assert potential_values(riesz_kernel(2), c, math.pi / 2)[0] == pytest.approx(1.0)
 
 
+def test_potential_at_no_angles_is_empty():
+    values = potential_values(riesz_kernel(2), equally_spaced(3), [])
+    assert values.shape == (0,) and values.dtype == float
+
+
 def test_potential_inf_at_node_for_singular_kernel():
     c = Configuration([0.0])
     assert potential_values(riesz_kernel(2), c, 0.0)[0] == math.inf
@@ -168,6 +173,17 @@ def test_per_arc_minima_are_one_read_only_array():
                                          r.arcs["value"].tolist()))
     assert r == polarization(riesz_kernel(2), c)
     assert r != polarization(riesz_kernel(3), c)
+
+
+def test_equal_results_hash_equal_and_are_dict_keys():
+    c = random_config(np.random.default_rng(4), 6)
+    a, b = polarization(riesz_kernel(2), c), polarization(riesz_kernel(2), c)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {a: "first"}[b] == "first"
+    other = polarization(log_kernel(), c)
+    assert a != other
+    assert len({a, b, other}) == 2
 
 
 def test_result_stores_its_records_once():

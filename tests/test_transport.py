@@ -42,6 +42,8 @@ def test_worked_three_point_plan():
     plan = solve_transport(src, equally_spaced(3))
     assert_allclose(plan.deltas, (0.0, math.pi / 6, math.pi / 6), atol=1e-12)
     assert plan.zero_index == 0
+    # a plan holds its three fields and nothing else
+    assert not hasattr(plan, "__dict__")
 
 
 def test_plan_invariants_on_random_pairs():
