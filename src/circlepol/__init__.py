@@ -24,12 +24,12 @@ from .kernels import (CheckResult, Kernel, ValidationReport, custom_kernel,
                       log_kernel, power_kernel, riesz_kernel, validate_kernel)
 from .optimizer import (OptimizeOptions, OptimizeResult, RestartRecord,
                         StrictnessReport, maximize_polarization,
-                        perturbation_test, project_gaps)
+                        perturbation_test)
 from .potential import (PolarizationResult, minimum_on_arc, polarization,
                         potential_profile, potential_values)
-from .transport import (InequalityReport, InvalidGapVectorsError,
-                        TransportPlan, check_pair_inequality, homotopy_config,
-                        min_curve, solve_gap_system, solve_transport)
+from .transport import (InequalityReport, TransportPlan, check_pair_inequality,
+                        homotopy_config, min_curve, solve_gap_system,
+                        solve_transport)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "Configuration",
     "ExactPolynomial",
     "InequalityReport",
-    "InvalidGapVectorsError",
     "Kernel",
     "OptimizeOptions",
     "OptimizeResult",
@@ -71,7 +70,6 @@ __all__ = [
     "potential_profile",
     "potential_values",
     "power_kernel",
-    "project_gaps",
     "reflect",
     "riesz_kernel",
     "rotate",

@@ -3,7 +3,11 @@
 One executable with one subcommand per computation; all output is
 machine-readable (JSON objects or CSV with a header row).  Floats are
 printed in shortest round-trip form; infinities print as ``inf``.  Exit
-codes: 0 success, 1 computation error, 2 usage error.
+codes: 0 success, 1 computation error (or, for ``check``, a violation),
+2 usage error.  Each command builds its whole output before any of it is
+written, so stdout is empty unless the command ran to the end; a usage
+error, an out-of-range integer option among them, is refused while
+parsing.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .asymptotics import asymptotic_ratio, dominant_term
 from .circle_config import equally_spaced, load_config_file
@@ -25,6 +29,11 @@ from .transport import check_pair_inequality, min_curve, solve_transport
 
 # a reported violation above this makes `check` exit nonzero
 CHECK_TOL = 1e-12
+
+# what `check` prints of each report, in this order
+_CHECK_FIELDS = ("z1", "z2", "eps", "samples", "between_min_margin",
+                 "between_max_violation", "complement_min_margin",
+                 "complement_max_violation", "max_violation", "strict_expected")
 
 
 def _kernel_arg(text: str) -> Kernel:
@@ -51,15 +60,24 @@ def _exponent_arg(text: str) -> float:
     return float(text)
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer that is at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _int_list(text: str) -> List[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    """Comma-separated point counts, each at least 1."""
+    values = [_int_at_least(1)(part) for part in text.split(",") if part]
     if not values:
         raise argparse.ArgumentTypeError("empty integer list")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"point counts must be >= 1, got {text!r}")
     return values
 
 
@@ -78,110 +96,94 @@ def _load_config(args):
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="JSON array or one-angle-per-line file")
-    group.add_argument("--equally-spaced", type=int, metavar="N",
+    group.add_argument("--equally-spaced", type=_int_at_least(1), metavar="N",
                        help="use N equally spaced points")
     parser.add_argument("--units", choices=("radians", "turns"),
                         default="radians", help="units of config file angles")
 
 
-def _cmd_polarization(args) -> int:
+# each command returns its whole stdout and its exit code; main writes the
+# text only once the command has returned
+_Output = Tuple[str, int]
+
+
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _cmd_polarization(args) -> _Output:
     result = polarization(args.kernel, _load_config(args))
-    print(json.dumps({
+    return json.dumps({
         "value": result.value,
         "witnesses": list(result.witnesses),
         "per_arc_minima": [list(row) for row in result.per_arc_minima],
-    }))
-    return 0
+    }) + "\n", 0
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> _Output:
     rows = potential_profile(args.kernel, _load_config(args),
                              args.resolution)
-    print("angle,value")
-    for angle, value in rows:
-        print(f"{_fmt(angle)},{_fmt(value)}")
-    return 0
+    return _lines(["angle,value",
+                   *(f"{_fmt(angle)},{_fmt(value)}" for angle, value in rows)]), 0
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> _Output:
     opts = OptimizeOptions(restarts=args.restarts, max_iters=args.max_iters,
                            seed=args.seed)
     result = maximize_polarization(args.kernel, args.n, opts)
-    print(json.dumps(result.to_dict()))
-    return 0
+    return json.dumps(result.to_dict()) + "\n", 0
 
 
-def _cmd_transport(args) -> int:
-    if args.min_curve is not None:
-        # usage errors, raised before the plan is printed
-        if args.kernel is None:
-            args.usage_error("--min-curve needs --kernel")
-        if args.grid < 2:
-            args.usage_error("--grid must be at least 2")
+def _cmd_transport(args) -> _Output:
+    if args.min_curve is not None and args.kernel is None:
+        args.usage_error("--min-curve needs --kernel")
     source = load_config_file(args.source, units=args.units)
     target = load_config_file(args.target, units=args.units)
     plan = solve_transport(source, target)
-    print(plan.to_json())
     if args.min_curve is not None:
         rows = min_curve(args.kernel, source, plan, args.grid)
         with open(args.min_curve, "w", encoding="utf-8") as fh:
-            fh.write("t,h\n")
-            for t, h in rows:
-                fh.write(f"{_fmt(t)},{_fmt(h)}\n")
-    return 0
+            fh.write(_lines(["t,h", *(f"{_fmt(t)},{_fmt(h)}" for t, h in rows)]))
+    return json.dumps(plan.to_dict()) + "\n", 0
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args) -> _Output:
     poly = exact_polarization_polynomial(args.m)
     if args.json:
-        print(json.dumps({"m": args.m, "terms": poly.to_terms()}))
-    else:
-        print(str(poly))
-    return 0
+        return json.dumps({"m": args.m, "terms": poly.to_terms()}) + "\n", 0
+    return f"{poly}\n", 0
 
 
-def _cmd_asympt(args) -> int:
+def _cmd_asympt(args) -> _Output:
     kernel = riesz_kernel(args.s)
-    print("n,numeric,dominant,ratio")
+    lines = ["n,numeric,dominant,ratio"]
     for n in args.n:
         numeric = polarization(kernel, equally_spaced(n)).value
         dominant = dominant_term(args.s, n)
         ratio = asymptotic_ratio(args.s, n, numeric)
-        print(f"{n},{_fmt(numeric)},{_fmt(dominant)},{_fmt(ratio)}")
-    return 0
+        lines.append(f"{n},{_fmt(numeric)},{_fmt(dominant)},{_fmt(ratio)}")
+    return _lines(lines), 0
 
 
-def _cmd_energy(args) -> int:
-    print("n,s,energy,polarization_via_energy,polarization_numeric")
+def _cmd_energy(args) -> _Output:
     kernel = riesz_kernel(args.s)
+    lines = ["n,s,energy,polarization_via_energy,polarization_numeric"]
     for n in args.n:
-        energy = 0.0 if n == 1 else energy_equally_spaced(args.s, n)
+        energy = energy_equally_spaced(args.s, n)
         via_energy = polarization_via_energy(args.s, n)
         numeric = polarization(kernel, equally_spaced(n)).value
-        print(f"{n},{_fmt(args.s)},{_fmt(energy)},"
-              f"{_fmt(via_energy)},{_fmt(numeric)}")
-    return 0
+        lines.append(f"{n},{_fmt(args.s)},{_fmt(energy)},"
+                     f"{_fmt(via_energy)},{_fmt(numeric)}")
+    return _lines(lines), 0
 
 
-def _cmd_check(args) -> int:
-    kernel = args.kernel
-    worst = 0.0
-    for z1, z2, eps in args.pair:
-        report = check_pair_inequality(kernel, z1, z2, eps, args.samples)
-        worst = max(worst, report.max_violation)
-        print(json.dumps({
-            "z1": report.z1,
-            "z2": report.z2,
-            "eps": report.eps,
-            "samples": report.samples,
-            "between_min_margin": report.between_min_margin,
-            "between_max_violation": report.between_max_violation,
-            "complement_min_margin": report.complement_min_margin,
-            "complement_max_violation": report.complement_max_violation,
-            "max_violation": report.max_violation,
-            "strict_expected": report.strict_expected,
-        }))
-    return 0 if worst <= CHECK_TOL else 1
+def _cmd_check(args) -> _Output:
+    reports = [check_pair_inequality(args.kernel, z1, z2, eps, args.samples)
+               for z1, z2, eps in args.pair]
+    lines = [json.dumps({name: getattr(r, name) for name in _CHECK_FIELDS})
+             for r in reports]
+    worst = max(r.max_violation for r in reports)
+    return _lines(lines), 0 if worst <= CHECK_TOL else 1
 
 
 def _pair_arg(text: str):
@@ -210,18 +212,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="potential sampled on a uniform grid")
     p.add_argument("--kernel", required=True, type=_kernel_arg)
-    p.add_argument("--resolution", type=int, default=360)
+    p.add_argument("--resolution", type=_int_at_least(2), default=360)
     _add_config_arguments(p)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("optimize",
                        help="search for the best n-point configuration")
     p.add_argument("--kernel", required=True, type=_kernel_arg)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=OptimizeOptions.restarts)
-    p.add_argument("--max-iters", type=int,
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--restarts", type=_int_at_least(1),
+                   default=OptimizeOptions.restarts)
+    p.add_argument("--max-iters", type=_int_at_least(0),
                    default=OptimizeOptions.max_iters)
-    p.add_argument("--seed", type=int, default=OptimizeOptions.seed)
+    p.add_argument("--seed", type=_int_at_least(0),
+                   default=OptimizeOptions.seed)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("transport",
@@ -232,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default=None, type=_kernel_arg)
     p.add_argument("--min-curve", metavar="CSV",
                    help="write the homotopy minimum curve to this file")
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_int_at_least(2), default=101)
     p.set_defaults(func=_cmd_transport, usage_error=p.error)
 
     p = sub.add_parser("exact",
                        help="closed-form even-exponent polarization polynomial")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_exact)
 
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True, type=_kernel_arg)
     p.add_argument("--pair", type=_pair_arg, action="append", required=True,
                    metavar="Z1,Z2,EPS")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_int_at_least(2), default=1000)
     p.set_defaults(func=_cmd_check)
     return parser
 
@@ -265,10 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out, code = args.func(args)
     except (ValueError, ArithmeticError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out)
+    return code
 
 
 if __name__ == "__main__":

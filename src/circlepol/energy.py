@@ -20,10 +20,11 @@ __all__ = [
 def energy_equally_spaced(s: float, n: int) -> float:
     """Pairwise energy sum_{j != k} |z_j - z_k|**(-s) for n equally spaced points.
 
-    Equals n * sum_{k=1}^{n-1} (2 sin(pi k / n))**(-s).
+    Equals n * sum_{k=1}^{n-1} (2 sin(pi k / n))**(-s), which is 0.0 at
+    n = 1, the empty sum over pairs.
     """
-    if n < 2:
-        raise ValueError("energy needs n >= 2 (no pairs otherwise)")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n!r}")
     if not s > 0.0:
         raise ValueError(f"need s > 0, got {s!r}")
     k = np.arange(1, n)
@@ -33,11 +34,7 @@ def energy_equally_spaced(s: float, n: int) -> float:
 def polarization_via_energy(s: float, n: int) -> float:
     """Polarization of n equally spaced points from the energy identity.
 
-    Equals (per-point energy of 2n points) - (per-point energy of n points),
-    with the n = 1 term taken as 0 (a single point has no pairs).
+    Equals (per-point energy of 2n points) - (per-point energy of n points).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n!r}")
-    doubled = energy_equally_spaced(s, 2 * n) / (2 * n)
-    single = 0.0 if n == 1 else energy_equally_spaced(s, n) / n
-    return doubled - single
+    single = energy_equally_spaced(s, n) / n  # refuses n < 1 as given
+    return energy_equally_spaced(s, 2 * n) / (2 * n) - single

@@ -72,7 +72,7 @@ def sinc_power_coefficients(s: ExactScalar, order: int) -> List[Tuple[Fraction, 
     return [(c, 2 * j) for j, c in enumerate(g)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactPolynomial:
     """Polynomial in n with Fraction coefficients on even powers."""
 

@@ -234,7 +234,7 @@ def custom_kernel(fn: Callable, value_at_zero: float, label: str = "custom") -> 
     return Kernel(fn=fn, value_at_zero=float(value_at_zero), label=label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     passed: bool
     detail: str = ""
@@ -242,7 +242,7 @@ class CheckResult:
     witness: Optional[Tuple[float, float]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     """Grid check of kernel structure (a sanity gate, not a proof); a failed
     ``strictly_convex`` is a measurement, not one of the ``failures``."""

@@ -28,7 +28,6 @@ __all__ = [
     "OptimizeResult",
     "RestartRecord",
     "StrictnessReport",
-    "project_gaps",
     "maximize_polarization",
     "perturbation_test",
 ]
@@ -47,20 +46,25 @@ class OptimizeOptions:
             raise ValueError("max_iters must be at least 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestartRecord:
     start_gaps: Tuple[float, ...]
     value: float
     iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimizeResult:
     best_config: Configuration
     best_value: float
     per_restart: Tuple[RestartRecord, ...]
-    converged_to_equal_spacing: bool
     seed: int
+
+    @property
+    def converged_to_equal_spacing(self) -> bool:
+        """Every best gap lies within 1e-6 of the equal gap 2 pi / n."""
+        n = self.best_config.n
+        return max(abs(g - TWO_PI / n) for g in self.best_config.gaps) < 1e-6
 
     def to_dict(self) -> dict:
         return {
@@ -75,24 +79,6 @@ class OptimizeResult:
                 for r in self.per_restart
             ],
         }
-
-
-def project_gaps(x: np.ndarray) -> np.ndarray:
-    """Nearest valid gap vector: clip negatives, rescale to sum 2*pi.
-
-    Raises ``ValueError`` unless ``x`` is a nonempty vector of finite
-    entries.
-    """
-    g = np.asarray(x, dtype=float)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError("gaps must be a nonempty vector")
-    if not np.isfinite(g).all():
-        raise ValueError(f"gaps must be finite, got {g!r}")
-    g = np.clip(g, 0.0, None)
-    total = g.sum()
-    if total <= 0.0:
-        return np.full(g.size, TWO_PI / g.size)
-    return g * (TWO_PI / total)
 
 
 # a step that raises no value after this many halvings ends the ascent
@@ -178,17 +164,15 @@ def maximize_polarization(
                                      value=float(value), iterations=iters))
         if value > best_value:
             best_config, best_value = config, value
-    deviation = max(abs(g - TWO_PI / n) for g in best_config.gaps)
     return OptimizeResult(
         best_config=best_config,
         best_value=float(best_value),
         per_restart=tuple(records),
-        converged_to_equal_spacing=bool(deviation < 1e-6),
         seed=opts.seed,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrictnessReport:
     """Outcome of perturbing equal gaps: does the polarization really drop?"""
 

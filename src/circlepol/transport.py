@@ -10,7 +10,6 @@ is nondecreasing along the way — which is what makes equal spacing optimal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -37,10 +36,6 @@ _ZERO_TOL = 1e-12
 
 # tolerance for the solvability condition sum(beta) = 0
 _BALANCE_TOL = 1e-10
-
-
-class InvalidGapVectorsError(ValueError):
-    """Gap difference vector is not balanced (components must sum to zero)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,9 +69,6 @@ class TransportPlan:
             "target_gaps": list(self.target_gaps),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def solve_gap_system(beta) -> np.ndarray:
     """Solve ``-d[k-1] + 2 d[k] - d[k+1] = beta[k]`` (cyclic) canonically.
@@ -85,6 +77,8 @@ def solve_gap_system(beta) -> np.ndarray:
     consistent exactly when ``beta`` sums to zero.  The solution is pinned
     down by shifting so that ``min(d) = 0``, which also makes it
     componentwise nonnegative.  Runs in O(n) by two cumulative sums.
+    Raises ``ValueError``, with a message starting ``invalid-gap-vectors:``,
+    when ``beta`` does not sum to zero.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.size < 1:
@@ -92,7 +86,7 @@ def solve_gap_system(beta) -> np.ndarray:
     if not np.isfinite(beta).all():
         raise ValueError(f"gap differences must be finite, got {beta!r}")
     if abs(beta.sum()) > _BALANCE_TOL:
-        raise InvalidGapVectorsError(
+        raise ValueError(
             f"invalid-gap-vectors: differences sum to {beta.sum()!r}, not 0")
     # partial sums t[k] = beta[1] + ... + beta[k]; the second difference of
     # the unknown telescopes to g[k] = d[k] - d[k+1] = g0 - t[k] with g0
@@ -182,15 +176,16 @@ def _tracked_minima(kernel: Kernel, source: Configuration, plan: TransportPlan,
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InequalityReport:
     """Sampled check that spreading a pair apart helps between, hurts outside.
 
     Over the closed arc between the original pair the two-point potential
     must not increase under the spread; over the (shrunk) complementary arc
     it must not decrease.  Margins are the worst slack observed in the
-    expected direction; violations are the worst overshoot the wrong way
-    (0 when the inequality holds everywhere).
+    expected direction, ``inf`` between a coincident pair; violations,
+    derived from them, are the worst overshoot the wrong way (0 when the
+    inequality holds everywhere).
     """
 
     z1: float
@@ -198,10 +193,16 @@ class InequalityReport:
     eps: float
     samples: int
     between_min_margin: float
-    between_max_violation: float
     complement_min_margin: float
-    complement_max_violation: float
     strict_expected: bool
+
+    @property
+    def between_max_violation(self) -> float:
+        return max(0.0, -self.between_min_margin)
+
+    @property
+    def complement_max_violation(self) -> float:
+        return max(0.0, -self.complement_min_margin)
 
     @property
     def max_violation(self) -> float:
@@ -246,17 +247,10 @@ def check_pair_inequality(
 
     # complement after the move: from the moved z2 to the moved z1
     comp_margin = worst_margin(z2 + eps, complement_len - 2.0 * eps, +1.0)
-    comp_violation = max(0.0, -comp_margin)
-    if coincident:
-        btw_margin, btw_violation = math.inf, 0.0
-    else:
-        btw_margin = worst_margin(z1, between_len, -1.0)
-        btw_violation = max(0.0, -btw_margin)
+    btw_margin = math.inf if coincident else worst_margin(z1, between_len, -1.0)
     return InequalityReport(
         z1=z1, z2=z2, eps=eps, samples=samples,
         between_min_margin=btw_margin,
-        between_max_violation=btw_violation,
         complement_min_margin=comp_margin,
-        complement_max_violation=comp_violation,
         strict_expected=kernel.strictly_convex,
     )

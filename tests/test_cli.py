@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from circlepol import cli
 from circlepol.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -53,9 +54,12 @@ def test_exact_json_round_trip(capsys):
 
 
 def test_exact_rejects_nonpositive_order(capsys):
-    code, _, err = run(capsys, "exact", "--m", "0")
-    assert code == 1
-    assert "error:" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["exact", "--m", "0"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +132,12 @@ def test_optimize_small_case(capsys):
 
 
 def test_optimize_rejects_negative_max_iters(capsys):
-    code, out, err = run(capsys, "optimize", "--kernel", "log", "--n", "3",
-                         "--max-iters", "-3")
-    assert (code, out) == (1, "")
-    assert "max_iters" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["optimize", "--kernel", "log", "--n", "3", "--max-iters", "-3"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-iters" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +210,20 @@ def test_transport_min_curve_grid_below_two_is_usage_error(capsys, tmp_path):
     assert captured.out == ""
     assert "--grid" in captured.err
     assert not curve.exists()
+
+
+def test_transport_unwritable_min_curve_prints_no_plan(capsys, tmp_path):
+    # the curve is written before the plan goes to stdout, so a curve that
+    # cannot be written leaves stdout empty
+    src = tmp_path / "src.json"
+    tgt = tmp_path / "tgt.json"
+    src.write_text(json.dumps([0.0, 1.0, 2.0]))
+    tgt.write_text(json.dumps([0.0, 2.0, 4.0]))
+    code, out, err = run(capsys, "transport", "--source", str(src),
+                         "--target", str(tgt), "--kernel", "riesz:2",
+                         "--min-curve", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +301,26 @@ def test_check_passes_for_convex_kernel(capsys):
         assert payload["strict_expected"] is True
 
 
+def test_check_failing_pair_prints_no_earlier_report(capsys):
+    # the first pair is fine, the second's eps is out of range: the command
+    # fails as a whole and prints nothing
+    code, out, err = run(capsys, "check", "--kernel", "riesz:2",
+                         "--pair", "0,2,0.3", "--pair", "0,2,100")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert "eps" in err
+
+
+def test_check_violation_exits_one_with_every_report(capsys, monkeypatch):
+    # no shipped kernel violates the inequalities; a negative tolerance makes
+    # every report count as one
+    monkeypatch.setattr(cli, "CHECK_TOL", -1.0)
+    code, out, _ = run(capsys, "check", "--kernel", "riesz:2",
+                       "--pair", "0.0,2.0,0.3", "--pair", "1.0,1.5,0.1")
+    assert code == 1
+    assert len(out.strip().splitlines()) == 2
+
+
 # ---------------------------------------------------------------------------
 # error handling and exit codes
 # ---------------------------------------------------------------------------
@@ -309,6 +349,62 @@ def test_log_kernel_with_parameter_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["polarization", "--kernel", "log:2", "--equally-spaced", "4"])
     assert excinfo.value.code == 2
+
+
+# each bounded integer option below its least value; the transport files are
+# never read, since the refusal comes while parsing
+OPTION_BELOW_RANGE = [
+    (["polarization", "--kernel", "log", "--equally-spaced", "0"],
+     "--equally-spaced", 1),
+    (["optimize", "--kernel", "log", "--n", "0"], "--n", 1),
+    (["optimize", "--kernel", "log", "--n", "3", "--restarts", "0"],
+     "--restarts", 1),
+    (["optimize", "--kernel", "log", "--n", "3", "--max-iters", "-1"],
+     "--max-iters", 0),
+    (["optimize", "--kernel", "log", "--n", "3", "--seed", "-1"], "--seed", 0),
+    (["profile", "--kernel", "log", "--equally-spaced", "3",
+      "--resolution", "1"], "--resolution", 2),
+    (["transport", "--source", "missing.json", "--target", "missing.json",
+      "--grid", "1"], "--grid", 2),
+    (["exact", "--m", "0"], "--m", 1),
+    (["check", "--kernel", "log", "--pair", "0,1,0.1", "--samples", "1"],
+     "--samples", 2),
+]
+
+
+@pytest.mark.parametrize("argv, option, least", OPTION_BELOW_RANGE,
+                         ids=[option for _, option, _ in OPTION_BELOW_RANGE])
+def test_integer_option_below_range_is_usage_error(capsys, argv, option, least):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}" in captured.err
+    assert f">= {least}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["polarization", "--kernel", "log", "--equally-spaced", "1"],
+    ["optimize", "--kernel", "log", "--n", "1", "--restarts", "1",
+     "--max-iters", "0", "--seed", "0"],
+    ["profile", "--kernel", "log", "--equally-spaced", "3", "--resolution", "2"],
+    ["exact", "--m", "1"],
+    ["check", "--kernel", "log", "--pair", "0,1,0.1", "--samples", "2"],
+], ids=["equally-spaced", "optimize", "resolution", "m", "samples"])
+def test_integer_option_at_its_least_value_runs(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out
+
+
+def test_non_integer_option_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["optimize", "--kernel", "log", "--n", "2.5"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad integer '2.5'" in captured.err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

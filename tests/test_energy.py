@@ -50,9 +50,14 @@ def test_energy_chord_reversal_symmetry():
         assert np.allclose(terms, terms[::-1], rtol=1e-13)
 
 
+def test_energy_of_one_point_is_the_empty_pair_sum():
+    for s in (0.5, 1.0, 2.0):
+        assert energy_equally_spaced(s, 1) == 0.0
+
+
 def test_energy_validation():
-    with pytest.raises(ValueError):
-        energy_equally_spaced(2.0, 1)
+    with pytest.raises(ValueError, match="n >= 1"):
+        energy_equally_spaced(2.0, 0)
     with pytest.raises(ValueError):
         energy_equally_spaced(0.0, 4)
     with pytest.raises(ValueError):
@@ -94,3 +99,6 @@ def test_energy_identity_exact_polynomial_case():
 def test_polarization_via_energy_validation():
     with pytest.raises(ValueError):
         polarization_via_energy(2.0, 0)
+    # the refusal names the caller's n, not the doubled count
+    with pytest.raises(ValueError, match="got -1"):
+        polarization_via_energy(2.0, -1)

@@ -99,6 +99,10 @@ def test_exact_polynomials_match_published_forms():
         exact_polarization_polynomial(0)
 
 
+def test_exact_polynomial_holds_only_its_terms():
+    assert not hasattr(exact_polarization_polynomial(2), "__dict__")
+
+
 def test_exact_polynomial_formatting_and_terms():
     poly = ExactPolynomial(((2, Fraction(3, 4)), (4, Fraction(5)),
                             (6, Fraction(1))))

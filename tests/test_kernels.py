@@ -166,6 +166,12 @@ def test_shipped_kernels_pass_validation():
         assert report.slope.passed
 
 
+def test_validation_records_hold_only_their_fields():
+    report = validate_kernel(log_kernel())
+    for record in (report, report.convex):
+        assert not hasattr(record, "__dict__")
+
+
 @pytest.mark.parametrize("s", [400, 1000])
 def test_kernels_that_overflow_to_inf_pass_validation(s):
     # f maps to [0, inf]: a value past the float range is +inf, which is

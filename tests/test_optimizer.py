@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,58 +13,13 @@ from circlepol.kernels import (custom_kernel, log_kernel, power_kernel,
                                riesz_kernel)
 from circlepol.optimizer import (
     OptimizeOptions,
+    OptimizeResult,
     maximize_polarization,
     perturbation_test,
-    project_gaps,
 )
 from circlepol.potential import polarization
 
 from helpers import sup_gap_deviation
-
-
-# ---------------------------------------------------------------------------
-# project_gaps
-# ---------------------------------------------------------------------------
-
-
-def test_project_gaps_rescales_positive_vectors():
-    out = project_gaps(np.array([1.0, 2.0, 3.0]))
-    assert math.isclose(out.sum(), TWO_PI, rel_tol=1e-14)
-    assert np.allclose(out / out[0], [1.0, 2.0, 3.0])
-
-
-def test_project_gaps_clips_negatives():
-    out = project_gaps(np.array([-1.0, 1.0, 1.0]))
-    assert out[0] == 0.0
-    assert math.isclose(out.sum(), TWO_PI, rel_tol=1e-14)
-
-
-def test_project_gaps_degenerate_all_nonpositive():
-    out = project_gaps(np.array([-1.0, -2.0]))
-    assert np.allclose(out, TWO_PI / 2)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_project_gaps_rejects_a_non_finite_entry(bad):
-    # a NaN sum passes the total <= 0 check, so unchecked it would come back all NaN
-    with pytest.raises(ValueError, match="finite"):
-        project_gaps(np.array([bad, 1.0, 2.0]))
-
-
-@pytest.mark.parametrize("bad", [[], [[1.0, 2.0], [3.0, 4.0]]],
-                         ids=["empty", "matrix"])
-def test_project_gaps_rejects_anything_but_a_nonempty_vector(bad):
-    # unchecked, an empty vector divides by zero and a matrix is rescaled
-    # by the total of all its rows
-    with pytest.raises(ValueError, match="nonempty vector"):
-        project_gaps(bad)
-
-
-def test_project_gaps_is_idempotent():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=6)
-    once = project_gaps(x)
-    assert np.allclose(project_gaps(once), once, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +71,30 @@ def test_maximize_records_every_restart():
     starts = {r.start_gaps for r in result.per_restart}
     assert len(starts) == 5  # distinct random starts
     assert all(len(r.start_gaps) == 3 for r in result.per_restart)
+
+
+def test_result_records_hold_only_their_fields():
+    result = maximize_polarization(log_kernel(), 3,
+                                   OptimizeOptions(restarts=2, max_iters=50))
+    report = perturbation_test(log_kernel(), 3, magnitude=0.05, trials=3)
+    for record in (result, result.per_restart[0], report):
+        assert not hasattr(record, "__dict__")
+
+
+def test_converged_to_equal_spacing_is_read_off_the_best_gaps():
+    result = maximize_polarization(log_kernel(), 3,
+                                   OptimizeOptions(restarts=2, max_iters=50))
+    assert "converged_to_equal_spacing" not in {
+        f.name for f in dataclasses.fields(OptimizeResult)}
+    assert result.converged_to_equal_spacing
+    off = dataclasses.replace(
+        result, best_config=config_from_gaps([TWO_PI / 3 + 2e-6,
+                                              TWO_PI / 3 - 2e-6, TWO_PI / 3]))
+    assert not off.converged_to_equal_spacing
+    near = dataclasses.replace(
+        result, best_config=config_from_gaps([TWO_PI / 3 + 5e-7,
+                                              TWO_PI / 3 - 5e-7, TWO_PI / 3]))
+    assert near.converged_to_equal_spacing
 
 
 def test_maximize_validation():
@@ -230,7 +210,9 @@ def test_perturbation_matches_the_trial_loop_bit_for_bit(kernel, n):
     equal_value = polarization(kernel, equally_spaced(n)).value
     deficits = []
     for _ in range(trials):
-        gaps = project_gaps(TWO_PI / n + rng.uniform(-magnitude, magnitude, n))
+        # the jitter is under a quarter of a gap, so every gap stays positive
+        gaps = TWO_PI / n + rng.uniform(-magnitude, magnitude, n)
+        gaps = gaps * (TWO_PI / gaps.sum())
         deficits.append(equal_value - polarization(kernel, config_from_gaps(gaps)).value)
     report = perturbation_test(kernel, n, magnitude, trials, seed=seed)
     assert report.equal_value == equal_value

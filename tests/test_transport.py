@@ -1,5 +1,6 @@
 """Gap-system solver, homotopy, minimum curve, and the pair-spread checker."""
 
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (TWO_PI, InvalidGapVectorsError, TransportPlan,
+from circlepol import (TWO_PI, InequalityReport, TransportPlan,
                        check_pair_inequality, config_from_gaps, custom_kernel,
                        equally_spaced, homotopy_config, log_kernel, min_curve,
                        minimum_on_arc, polarization, potential, power_kernel,
@@ -95,7 +96,7 @@ def test_solver_matches_least_squares_oracle():
 
 
 def test_solver_input_validation():
-    with pytest.raises(InvalidGapVectorsError):
+    with pytest.raises(ValueError, match="invalid-gap-vectors"):
         solve_gap_system([0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
         solve_transport(equally_spaced(3), equally_spaced(4))
@@ -258,7 +259,8 @@ def test_min_curve_rejects_gaps_that_are_not_a_circle():
 def test_plan_json_round_trip():
     src = config_from_gaps([math.pi, math.pi / 2, math.pi / 2])
     plan = solve_transport(src, equally_spaced(3))
-    parsed = json.loads(plan.to_json())
+    # as the CLI prints it
+    parsed = json.loads(json.dumps(plan.to_dict()))
     assert parsed == plan.to_dict()
     assert parsed["deltas"] == pytest.approx(plan.deltas)
 
@@ -287,6 +289,27 @@ def test_pair_inequality_coincident_convention():
     assert report.between_min_margin == math.inf
     assert report.between_max_violation == 0.0
     assert report.complement_min_margin > 0.0
+
+
+def test_pair_inequality_violations_derive_from_margins():
+    # a report stores its margins only, and holds nothing else
+    report = InequalityReport(z1=0.0, z2=1.0, eps=0.1, samples=10,
+                              between_min_margin=-0.5,
+                              complement_min_margin=0.25,
+                              strict_expected=True)
+    assert not hasattr(report, "__dict__")
+    assert "between_max_violation" not in {
+        f.name for f in dataclasses.fields(InequalityReport)}
+    assert report.between_max_violation == 0.5
+    assert report.complement_max_violation == 0.0
+    assert report.max_violation == 0.5
+    # a coincident pair's in-between margin is inf: no violation there
+    coincident = check_pair_inequality(riesz_kernel(2), 1.0, 1.0, 0.3,
+                                       samples=50)
+    assert coincident.between_min_margin == math.inf
+    assert coincident.between_max_violation == 0.0
+    assert coincident.complement_max_violation == max(
+        0.0, -coincident.complement_min_margin)
 
 
 def test_pair_inequality_eps_validation():
