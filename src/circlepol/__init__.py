@@ -14,9 +14,7 @@ refuses a kernel that is not non-increasing and convex on the grid of
 
 from .asymptotics import asymptotic_ratio, dominant_term, zeta_real
 from .circle_config import (TWO_PI, Configuration, config_from_gaps,
-                            config_from_json, config_to_json, equally_spaced,
-                            geodesic_distance, load_config_file, reflect,
-                            rotate)
+                            config_from_json, equally_spaced, load_config_file)
 from .energy import energy_equally_spaced, polarization_via_energy
 from .exact_series import (ExactPolynomial, exact_polarization_polynomial,
                            sinc_power_coefficients, zeta_even_exact)
@@ -28,8 +26,7 @@ from .optimizer import (OptimizeOptions, OptimizeResult, RestartRecord,
 from .potential import (PolarizationResult, minimum_on_arc, polarization,
                         potential_profile, potential_values)
 from .transport import (InequalityReport, TransportPlan, check_pair_inequality,
-                        homotopy_config, min_curve, solve_gap_system,
-                        solve_transport)
+                        min_curve, solve_gap_system, solve_transport)
 
 __version__ = "0.1.0"
 
@@ -51,14 +48,11 @@ __all__ = [
     "check_pair_inequality",
     "config_from_gaps",
     "config_from_json",
-    "config_to_json",
     "custom_kernel",
     "dominant_term",
     "energy_equally_spaced",
     "equally_spaced",
     "exact_polarization_polynomial",
-    "geodesic_distance",
-    "homotopy_config",
     "load_config_file",
     "log_kernel",
     "maximize_polarization",
@@ -70,9 +64,7 @@ __all__ = [
     "potential_profile",
     "potential_values",
     "power_kernel",
-    "reflect",
     "riesz_kernel",
-    "rotate",
     "sinc_power_coefficients",
     "solve_gap_system",
     "solve_transport",

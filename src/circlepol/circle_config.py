@@ -2,9 +2,8 @@
 
 Configurations are immutable lists of angles in ``[0, 2*pi)``, sorted so the
 points run counterclockwise; indexing is cyclic.  The module provides the
-gap vector between consecutive points, separation, geodesic distance,
-rotation and reflection, construction from a gap vector, and JSON and
-line-file I/O.
+gap vector between consecutive points, construction from a gap vector, and
+JSON and line-file input.
 """
 
 from __future__ import annotations
@@ -20,11 +19,7 @@ __all__ = [
     "TWO_PI",
     "Configuration",
     "equally_spaced",
-    "geodesic_distance",
-    "rotate",
-    "reflect",
     "config_from_gaps",
-    "config_to_json",
     "config_from_json",
     "load_config_file",
 ]
@@ -72,10 +67,6 @@ class Configuration:
         """
         return tuple(_gap_rows(self.angle_array).tolist())
 
-    @property
-    def separation(self) -> float:
-        return min(self.gaps)
-
 
 def _gap_rows(angles: np.ndarray) -> np.ndarray:
     """Counterclockwise gaps of sorted angles, along the last axis."""
@@ -99,25 +90,6 @@ def _signed_wrap(w):
     to a multiple of the spacing of floats near pi.
     """
     return w - TWO_PI * np.rint(w / TWO_PI)
-
-
-def geodesic_distance(a, b):
-    """Shortest arclength between angles ``a`` and ``b``; lies in [0, pi].
-
-    Accepts scalars or arrays (broadcasting elementwise).
-    """
-    d = np.abs(_signed_wrap(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-    return float(d) if d.ndim == 0 else d
-
-
-def rotate(config: Configuration, phi: float) -> Configuration:
-    """Rotate every point counterclockwise by ``phi``."""
-    return Configuration(a + phi for a in config.angles)
-
-
-def reflect(config: Configuration) -> Configuration:
-    """Mirror the configuration across the real axis."""
-    return Configuration(-a for a in config.angles)
 
 
 def config_from_gaps(gaps: Sequence[float], anchor: float = 0.0) -> Configuration:
@@ -151,10 +123,6 @@ def _angle_rows(gaps: np.ndarray, anchor: float) -> np.ndarray:
 
 
 # --- serialization -------------------------------------------------------
-
-def config_to_json(config: Configuration) -> str:
-    return json.dumps(list(config.angles))
-
 
 def config_from_json(text: str, units: str = "radians") -> Configuration:
     values = json.loads(text)

@@ -60,9 +60,6 @@ class Kernel:
         """Evaluate at distance ``theta`` >= 0; a scalar gives a numpy float."""
         return _off_zero(self.fn, theta, self.value_at_zero)
 
-    def __call__(self, theta):
-        return self.eval(theta)
-
     def derivative(self, theta):
         """f' at each distance ``theta`` in [0, pi]: ``slope`` if given, else
         a central difference of ``fn`` with a step relative to ``theta``.

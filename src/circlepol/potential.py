@@ -74,8 +74,9 @@ def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
 
 def _values(kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
             owner: np.ndarray) -> np.ndarray:
-    # a kernel maps to [0, inf], so a value past the float range is +inf
-    with np.errstate(over="ignore"):
+    # a kernel maps to [0, inf], so a value past the float range is +inf,
+    # as is one at a distance too small for the chord to be nonzero
+    with np.errstate(divide="ignore", over="ignore"):
         return _row_sums(_potential_sums, kernel, nodes, z, owner)
 
 
@@ -230,8 +231,9 @@ def _minimize_on_arcs(
             break
         a, b, fa, fb = lo[live], hi[live], s_lo[live], s_hi[live]
         # next to both ends of a tiny arc the kernel or its slope can
-        # overflow; inf - inf gives no direction, so that arc stops
-        with np.errstate(invalid="ignore", over="ignore"):
+        # overflow, or meet a zero chord within a denormal of a node;
+        # inf - inf gives no direction, so that arc stops
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p = np.clip(b - fb * ((b - a) / (fb - fa)),
                         np.nextafter(a, b), np.nextafter(b, a))
             secant = (np.isfinite(fa) & np.isfinite(fb)

@@ -26,7 +26,6 @@ __all__ = [
     "InequalityReport",
     "solve_gap_system",
     "solve_transport",
-    "homotopy_config",
     "min_curve",
     "check_pair_inequality",
 ]
@@ -111,19 +110,6 @@ def solve_transport(source: Configuration, target: Configuration) -> TransportPl
     )
 
 
-def homotopy_config(source: Configuration, plan: TransportPlan, t: float) -> Configuration:
-    """Configuration at stage ``t`` of the interpolation of gap vectors.
-
-    Gaps are ``(1-t)*source_gaps + t*target_gaps``; the anchor point (the
-    plan's zero index) keeps its source angle throughout, which fixes the
-    rotation gauge without composing incremental moves.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    angles, _ = _stages(source, plan, np.array([float(t)]))
-    return Configuration(angles[0])
-
-
 def _stages(source: Configuration, plan: TransportPlan,
             ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The sorted angles of the stages at ``ts``, one row each, and the
@@ -150,7 +136,8 @@ def min_curve(
     polarization of the equally spaced target.  The stages are minimized
     in one engine call per block of about ``_CHUNK_BUDGET / n`` of them
     (all of them at small n), each row equal bit for bit to
-    ``minimum_on_arc`` on :func:`homotopy_config` at its stage.  Raises
+    ``minimum_on_arc`` on the stage's configuration: its interpolated gaps,
+    from the anchor on, laid out from the anchor's source angle.  Raises
     ``ValueError`` when a node of a stage lies inside its tracked arc, as
     ``minimum_on_arc`` does.
     """

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from circlepol import (TWO_PI, Configuration, config_from_gaps, potential_values,
-                       sinc_power_coefficients)
+                       sinc_power_coefficients, transport)
 
 
 def random_config(rng, n, min_sep=0.0, rotate=True):
@@ -15,6 +15,13 @@ def random_config(rng, n, min_sep=0.0, rotate=True):
         if gaps.min() >= min_sep:
             anchor = rng.uniform(0.0, TWO_PI) if rotate else 0.0
             return config_from_gaps(gaps, anchor=anchor)
+
+
+def homotopy_stage(source, plan, t):
+    """The configuration at stage ``t`` of ``plan``'s homotopy, built by the
+    stage builder that ``min_curve`` uses."""
+    angles, _ = transport._stages(source, plan, np.array([float(t)]))
+    return Configuration(angles[0])
 
 
 def dense_scan_minimum(kernel, config, resolution=1_000_000):

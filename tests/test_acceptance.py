@@ -23,15 +23,10 @@ from circlepol.exact_series import exact_polarization_polynomial, zeta_even_exac
 from circlepol.kernels import log_kernel, riesz_kernel
 from circlepol.optimizer import maximize_polarization
 from circlepol.potential import _polarize_rows, minimum_on_arc, polarization
-from circlepol.transport import (
-    check_pair_inequality,
-    homotopy_config,
-    min_curve,
-    solve_transport,
-)
+from circlepol.transport import check_pair_inequality, min_curve, solve_transport
 
-from helpers import (assert_sinc_power_matches_taylor, random_config,
-                     sup_gap_deviation)
+from helpers import (assert_sinc_power_matches_taylor, homotopy_stage,
+                     random_config, sup_gap_deviation)
 
 
 def _check_budget(start: float, seconds: float) -> None:
@@ -110,7 +105,7 @@ def test_criterion_05_transport_plans_and_monotone_minimum_curve():
         plan = solve_transport(source, target)
         deltas = np.asarray(plan.deltas)
         assert deltas.min() == 0.0  # nonnegative with an exact zero
-        end_gaps = np.asarray(homotopy_config(source, plan, 1.0).gaps)
+        end_gaps = np.asarray(homotopy_stage(source, plan, 1.0).gaps)
         assert np.allclose(end_gaps, TWO_PI / n, rtol=0.0, atol=1e-9)
         curve = min_curve(kernel, source, plan, grid=101)
         hs = curve[:, 1]

@@ -1,4 +1,4 @@
-"""Configuration canonical form, gaps, distances, symmetries, I/O."""
+"""Configuration canonical form, gaps, the geodesic distance, I/O."""
 
 import json
 import math
@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from circlepol import (TWO_PI, Configuration, config_from_gaps,
-                       config_from_json, config_to_json, equally_spaced,
-                       geodesic_distance, load_config_file, reflect, rotate)
+                       config_from_json, custom_kernel, equally_spaced,
+                       load_config_file, potential_values)
 from helpers import random_config
 
 
@@ -110,11 +110,11 @@ def test_single_point_has_full_circle_gap():
 def test_coincident_points_give_zero_gaps():
     c = Configuration([1.0, 1.0, 2.0])
     assert_allclose(c.gaps, (0.0, 1.0, TWO_PI - 1.0), atol=1e-15)
-    assert c.separation == 0.0
+    assert min(c.gaps) == 0.0
 
 
 def test_equally_spaced_gaps_and_phase():
-    c = rotate(equally_spaced(5), 0.3)
+    c = Configuration(a + 0.3 for a in equally_spaced(5).angles)
     assert c.angles == Configuration(0.3 + TWO_PI * k / 5 for k in range(5)).angles
     assert_allclose(c.gaps, np.full(5, TWO_PI / 5), rtol=1e-12)
     assert min(c.angles) == pytest.approx(0.3)
@@ -123,26 +123,19 @@ def test_equally_spaced_gaps_and_phase():
 
 
 def test_geodesic_distance_basics():
-    assert geodesic_distance(0.0, math.pi) == pytest.approx(math.pi)
-    assert geodesic_distance(0.1, TWO_PI - 0.1) == pytest.approx(0.2)
-    assert geodesic_distance(1.0, 1.0) == 0.0
+    # one node's potential under f(t) = pi - t is pi - d(z, node)
+    fold = custom_kernel(lambda t: math.pi - t, math.pi)
+
+    def distance(z, node):
+        return math.pi - potential_values(fold, Configuration([node]), z)[0]
+
+    assert distance(0.0, math.pi) == pytest.approx(math.pi)
+    assert distance(0.1, TWO_PI - 0.1) == pytest.approx(0.2)
+    assert distance(1.0, 1.0) == 0.0
     rng = np.random.default_rng(1)
-    a, b = rng.uniform(0, TWO_PI, (2, 50))
-    d = geodesic_distance(a, b)
-    assert np.all((0.0 <= d) & (d <= math.pi + 1e-15))
-    assert_allclose(d, geodesic_distance(b, a), rtol=1e-15)
-
-
-def test_rotate_preserves_gaps_cyclically():
-    rng = np.random.default_rng(2)
-    c = random_config(rng, 6)
-    r = rotate(c, 1.234)
-    assert sorted(r.gaps) == pytest.approx(sorted(c.gaps), rel=1e-12)
-
-
-def test_reflect_reverses_gap_order():
-    c = config_from_gaps([1.0, 2.0, TWO_PI - 3.0], anchor=0.5)
-    assert sorted(reflect(c).gaps) == pytest.approx(sorted(c.gaps), rel=1e-12)
+    for a, b in rng.uniform(0, TWO_PI, (50, 2)):
+        assert 0.0 <= distance(a, b) <= math.pi + 1e-15
+        assert distance(a, b) == distance(b, a)
 
 
 def test_config_from_gaps_validation():
@@ -159,7 +152,7 @@ def test_config_from_gaps_validation():
 def test_json_round_trip():
     rng = np.random.default_rng(5)
     c = random_config(rng, 6)
-    again = config_from_json(config_to_json(c))
+    again = config_from_json(json.dumps(list(c.angles)))
     assert again.angles == c.angles
 
 

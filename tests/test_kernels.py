@@ -24,34 +24,34 @@ def test_riesz_matches_inverse_chord():
     for s in (0.5, 1.0, 2.0, 3.5):
         k = riesz_kernel(s)
         for theta in rng.uniform(1e-6, math.pi, 25):
-            assert_allclose(k(theta), chord(theta) ** (-s), rtol=1e-12)
+            assert_allclose(k.eval(theta), chord(theta) ** (-s), rtol=1e-12)
 
 
 def test_riesz_known_values():
-    assert_allclose(riesz_kernel(2)(math.pi), 0.25, rtol=0.0)
-    assert_allclose(riesz_kernel(2)(math.pi / 2), 0.5, rtol=1e-15)
-    assert_allclose(riesz_kernel(1)(math.pi), 0.5, rtol=0.0)
+    assert_allclose(riesz_kernel(2).eval(math.pi), 0.25, rtol=0.0)
+    assert_allclose(riesz_kernel(2).eval(math.pi / 2), 0.5, rtol=1e-15)
+    assert_allclose(riesz_kernel(1).eval(math.pi), 0.5, rtol=0.0)
 
 
 def test_log_kernel_matches_log_inverse_chord():
     k = log_kernel()
     rng = np.random.default_rng(8)
     for theta in rng.uniform(1e-6, math.pi, 25):
-        assert_allclose(k(theta), -math.log(chord(theta)), atol=1e-12)
+        assert_allclose(k.eval(theta), -math.log(chord(theta)), atol=1e-12)
 
 
 def test_power_kernel_values_and_flags():
     k = power_kernel(0.5)
-    assert k(0.0) == 0.0
-    assert_allclose(k(math.pi), -math.sqrt(2.0), rtol=1e-15)
+    assert k.eval(0.0) == 0.0
+    assert_allclose(k.eval(math.pi), -math.sqrt(2.0), rtol=1e-15)
     assert k.strictly_convex
     # f = -2 sin(theta/2) has f'' = sin(theta/2)/2 > 0 on (0, pi]
     assert power_kernel(1.0).strictly_convex
 
 
 def test_singular_kernels_return_inf_at_zero():
-    assert riesz_kernel(2)(0.0) == math.inf
-    assert log_kernel()(0.0) == math.inf
+    assert riesz_kernel(2).eval(0.0) == math.inf
+    assert log_kernel().eval(0.0) == math.inf
 
 
 def test_eval_vectorized_matches_scalar():
@@ -60,7 +60,7 @@ def test_eval_vectorized_matches_scalar():
     got = k.eval(thetas)
     assert got.shape == thetas.shape
     for idx in np.ndindex(thetas.shape):
-        scalar = k(float(thetas[idx]))
+        scalar = k.eval(float(thetas[idx]))
         assert isinstance(scalar, np.float64)
         assert scalar == got[idx]
 

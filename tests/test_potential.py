@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from circlepol import (TWO_PI, Configuration, custom_kernel, equally_spaced,
                        log_kernel, minimum_on_arc, polarization, potential,
                        potential_profile, potential_values, power_kernel,
-                       riesz_kernel, rotate, validate_kernel)
+                       riesz_kernel, validate_kernel)
 from helpers import dense_scan_minimum, random_config
 
 
@@ -57,7 +57,7 @@ def test_coincident_points_count_with_multiplicity():
     c = Configuration([1.0, 1.0, 4.0])
     k = riesz_kernel(2)
     z = 2.5
-    want = 2 * k(abs(z - 1.0)) + k(abs(z - 4.0) % TWO_PI)
+    want = 2 * k.eval(abs(z - 1.0)) + k.eval(abs(z - 4.0) % TWO_PI)
     assert potential_values(k, c, z)[0] == pytest.approx(want, rel=1e-14)
 
 
@@ -160,6 +160,20 @@ def test_overflow_to_inf_does_not_warn():
     assert math.isfinite(r.value)
     assert potential_values(riesz_kernel(400), c, [5e-4, 1.5])[0] == math.inf
     assert potential_profile(riesz_kernel(400), c, 4)[0, 1] == math.inf
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel()], ids=lambda k: k.label)
+def test_denormal_distance_is_inf_and_does_not_warn(kernel):
+    # tan(theta/4) underflows to 0 at theta = 5e-324, so the chord is 0 at a
+    # positive distance and f is +inf there, as at the node itself; a gap of
+    # 1e-323 has one probe, 5e-324 from both of its nodes
+    want = polarization(kernel, Configuration([0.0, 1e-300, 2.0, 4.0])).value
+    for gap in (5e-324, 1e-323):
+        r = polarization(kernel, Configuration([0.0, gap, 2.0, 4.0]))
+        assert r.per_arc_minima[0][2] == math.inf
+        assert r.value == want
+    assert potential_values(kernel, Configuration([0.0, 1.0]), [5e-324])[0] == math.inf
+    assert potential_profile(kernel, Configuration([5e-324, 1.0]), 8)[0, 1] == math.inf
 
 
 def test_per_arc_minima_are_one_read_only_array():
@@ -496,7 +510,8 @@ def test_polarization_rotation_invariance():
     for _ in range(5):
         c = random_config(rng, 5)
         base = polarization(k, c).value
-        rot = polarization(k, rotate(c, rng.uniform(0, TWO_PI))).value
+        phi = rng.uniform(0, TWO_PI)
+        rot = polarization(k, Configuration(a + phi for a in c.angles)).value
         assert rot == pytest.approx(base, rel=1e-11)
 
 
