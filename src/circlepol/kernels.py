@@ -281,7 +281,11 @@ _SLOPE_STEP = 1e-6
 
 
 def _scale_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    # relative, so that a report does not change when the kernel is scaled;
+    # floored at the smallest normal float, below which a value has no
+    # relative precision left
+    return np.maximum(REL_TOL * np.maximum(np.abs(a), np.abs(b)),
+                      np.finfo(float).tiny)
 
 
 def validate_kernel(kernel: Kernel) -> ValidationReport:
@@ -290,15 +294,19 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
 
     ``finite`` fails on a NaN or -inf value; +inf is allowed.  Monotonicity
     is checked on consecutive grid values, convexity by the midpoint test on
-    consecutive grid triples (relative tolerance 1e-12).  Strict convexity
-    is measured, not asked: it needs a positive midpoint margin wherever the
-    midpoint value is finite, and its failure is left out of ``failures``
-    and ``ok``.  A declared ``slope`` must be <= 0 and not NaN,
-    non-decreasing (relative tolerance 1e-12), and within ``SLOPE_TOL`` of
-    the central difference of ``fn`` with step ``_SLOPE_STEP * theta``,
-    folded back past pi like the distance; where that difference is not
-    finite, as where ``fn`` overflows, it is skipped.  Each check reports
-    its first failing grid point.
+    consecutive grid triples.  Strict convexity is measured, not asked: it
+    needs a positive midpoint margin wherever the midpoint value is finite,
+    and its failure is left out of ``failures`` and ``ok``.  A declared
+    ``slope`` must be <= 0 and not NaN, non-decreasing, and within
+    ``SLOPE_TOL`` of the central difference of ``fn`` with step
+    ``_SLOPE_STEP * theta``, folded back past pi like the distance; where
+    that difference is not finite, as where ``fn`` overflows, it is skipped.
+    Each check reports its first failing grid point.
+
+    Every tolerance is 1e-12 of the values compared, floored at the smallest
+    normal float, with no absolute term: the hypotheses hold for c f when
+    they hold for f (c > 0), and a kernel scaled by a power of two gets the
+    same report wherever its values stay normal.
     """
     theta = np.pi * np.arange(1, _GRID_SIZE + 1) / _GRID_SIZE
     # a value past the float range is +inf, which the hypotheses allow

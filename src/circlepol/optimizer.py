@@ -20,8 +20,7 @@ import numpy as np
 from .circle_config import (TWO_PI, Configuration, _angle_rows, config_from_gaps,
                             equally_spaced)
 from .kernels import Kernel
-from .potential import (_WITNESS_ROUNDING, _polarize_rows, _slope_terms,
-                        polarization)
+from .potential import _polarize_rows, _rounding, _slope_terms, polarization
 
 __all__ = [
     "OptimizeOptions",
@@ -120,8 +119,7 @@ def _ascend(kernel: Kernel, start: np.ndarray,
             return config, value, iters
         step, *_ = np.linalg.lstsq(system[rows] / scale[rows, None],
                                    -m[rows] / scale[rows], rcond=None)
-        rounding = _WITNESS_ROUNDING * config.n * abs(value)
-        if step[-1] - value <= rounding:
+        if step[-1] - value <= _rounding(config.n, value):
             return config, value, iters
         dx = step[:-1]
         for _ in range(_HALVINGS + 1):

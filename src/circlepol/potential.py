@@ -21,20 +21,12 @@ from .circle_config import ANGLE_TOL, TWO_PI, Configuration, _gap_rows, _signed_
 from .kernels import Kernel, _require_hypotheses
 
 __all__ = [
-    "WITNESS_TOL",
     "PolarizationResult",
     "potential_values",
     "minimum_on_arc",
     "polarization",
     "potential_profile",
 ]
-
-# two minima within this absolute tolerance of the best are all reported
-WITNESS_TOL = 1e-9
-
-# plus this many units of rounding per node, relative to the best value:
-# congruent arcs of an n-term sum differ by a few n * eps * |value|
-_WITNESS_ROUNDING = 32 * np.finfo(float).eps
 
 # the bracket certificate: an arc is done once its bracket is at most
 # 2**-_CERTIFIED_BITS of the arc wide.  The midpoint then lies within 2**-33
@@ -128,6 +120,18 @@ def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.array((slope, np.abs(terms, out=terms).sum(axis=-1)))
 
 
+def _rounding(n: int, value: float) -> float:
+    """The rounding of an n-term sum ``value`` of one sign, 32 n eps |value|.
+
+    Summation moves a sum by about n eps times its summed absolute terms
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, sec.
+    4.2), which for terms of one sign is n eps |value|; the factor 32 leaves
+    room for congruent arcs whose sums round differently.  It scales with
+    the kernel, so no absolute term is needed.
+    """
+    return 32 * np.finfo(float).eps * n * abs(value)
+
+
 # one record per nondegenerate gap: its index, its minimizer and the minimum
 _ARC_DTYPE = np.dtype([("gap", np.int64), ("angle", float), ("value", float)])
 
@@ -143,10 +147,10 @@ class PolarizationResult:
     array over that buffer, and ``per_arc_minima`` gives the same records
     as a tuple of tuples.  ``value`` and ``witnesses`` are worked out from
     ``arcs`` on each access: ``value`` is the least per-gap minimum, and
-    ``witnesses`` lists every per-gap minimizer whose value is within
-    ``WITNESS_TOL`` plus the rounding of an n-term sum of it, sorted by
-    angle; when the least minimum is infinite, the minimizers of the gaps
-    whose minimum equals it.
+    ``witnesses`` lists every per-gap minimizer whose value is within the
+    rounding of an n-term sum of it (:func:`_rounding`), sorted by angle;
+    when the least minimum is infinite, the minimizers of the gaps whose
+    minimum equals it.
     """
 
     n: int
@@ -169,8 +173,7 @@ class PolarizationResult:
             # inf - inf has no sign: the ties are the gaps at the same inf
             close = vs == value
         else:
-            close = vs - value <= (WITNESS_TOL
-                                   + _WITNESS_ROUNDING * self.n * abs(value))
+            close = vs - value <= _rounding(self.n, value)
         return tuple(np.sort(arcs["angle"][close]).tolist())
 
     @property
@@ -278,25 +281,15 @@ def minimum_on_arc(
     ``config`` lies inside the arc, more than ``ANGLE_TOL`` from both ends:
     the potential need not be convex there.
     """
-    nodes = config.angle_array[None]
-    starts, lengths = np.array([float(start)]), np.array([float(length)])
-    _require_empty_arcs(nodes, starts, lengths)
-    xs, vs = _minimize_on_arcs(kernel, nodes, starts, lengths,
-                               np.zeros(1, dtype=np.intp))
-    return float(xs[0]), float(vs[0])
-
-
-def _require_empty_arcs(nodes: np.ndarray, starts: np.ndarray,
-                        lengths: np.ndarray) -> None:
-    """Raise ``ValueError`` unless each arc ``[starts, starts + lengths]``
-    is finite with a length >= 0 and holds no node of its row of ``nodes``
-    ``(m, n)`` more than ``ANGLE_TOL`` from both its ends."""
-    if not (np.isfinite(starts).all() and (0.0 <= lengths).all()
-            and (lengths < math.inf).all()):
-        raise ValueError(f"need finite start, length >= 0: {starts!r}, {lengths!r}")
-    offsets = (nodes - starts[:, None]) % TWO_PI
-    if ((offsets > ANGLE_TOL) & (offsets < lengths[:, None] - ANGLE_TOL)).any():
+    start, length = float(start), float(length)
+    if not (math.isfinite(start) and 0.0 <= length < math.inf):
+        raise ValueError(f"need finite start, length >= 0: {start!r}, {length!r}")
+    offsets = (config.angle_array - start) % TWO_PI
+    if ((offsets > ANGLE_TOL) & (offsets < length - ANGLE_TOL)).any():
         raise ValueError("a node of the configuration lies inside the arc")
+    xs, vs = _minimize_on_arcs(kernel, config.angle_array[None], np.array([start]),
+                               np.array([length]), np.zeros(1, dtype=np.intp))
+    return float(xs[0]), float(vs[0])
 
 
 def polarization(kernel: Kernel, config: Configuration) -> PolarizationResult:

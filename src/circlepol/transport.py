@@ -19,7 +19,7 @@ import numpy as np
 from . import potential
 from .circle_config import TWO_PI, Configuration, _angle_rows, _wrap
 from .kernels import Kernel
-from .potential import _minimize_on_arcs, _require_empty_arcs, potential_values
+from .potential import _minimize_on_arcs, potential_values
 
 __all__ = [
     "TransportPlan",
@@ -137,9 +137,11 @@ def min_curve(
     in one engine call per block of about ``_CHUNK_BUDGET / n`` of them
     (all of them at small n), each row equal bit for bit to
     ``minimum_on_arc`` on the stage's configuration: its interpolated gaps,
-    from the anchor on, laid out from the anchor's source angle.  Raises
-    ``ValueError`` when a node of a stage lies inside its tracked arc, as
-    ``minimum_on_arc`` does.
+    from the anchor on, laid out from the anchor's source angle.  Those
+    angles are cumulative sums of nonnegative gaps, so no node lies inside
+    the tracked arc, and the check ``minimum_on_arc`` makes of a caller's arc
+    is not repeated here.  Raises ``ValueError`` when the plan does not fit
+    ``source`` or its gaps are not a circle's.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -147,20 +149,14 @@ def min_curve(
     # a block of stages holds as many angles as a block of engine pairs, so
     # a fine grid at large n keeps no (grid, n) temporary
     step = max(1, potential._CHUNK_BUDGET // source.n)
-    values = np.concatenate([_tracked_minima(kernel, source, plan, ts[i:i + step])
-                             for i in range(0, grid, step)])
-    return np.column_stack([ts, values])
-
-
-def _tracked_minima(kernel: Kernel, source: Configuration, plan: TransportPlan,
-                    ts: np.ndarray) -> np.ndarray:
-    """The minimum over the tracked arc of each stage at ``ts``."""
-    angles, lengths = _stages(source, plan, ts)
-    anchor = np.full(ts.size, source.angles[plan.zero_index])
-    _require_empty_arcs(angles, anchor, lengths)
-    _, values = _minimize_on_arcs(kernel, angles, anchor, lengths,
-                                  np.arange(ts.size))
-    return values
+    values = []
+    for i in range(0, grid, step):
+        # _stages checks the plan's size before its anchor is looked up
+        angles, lengths = _stages(source, plan, ts[i:i + step])
+        anchor = np.full(lengths.size, source.angles[plan.zero_index])
+        values.append(_minimize_on_arcs(kernel, angles, anchor, lengths,
+                                        np.arange(lengths.size))[1])
+    return np.column_stack([ts, np.concatenate(values)])
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (Configuration, Kernel, custom_kernel, equally_spaced,
-                       log_kernel, maximize_polarization, min_curve,
-                       minimum_on_arc, perturbation_test, polarization,
-                       potential_values, power_kernel, riesz_kernel,
-                       solve_transport, validate_kernel)
+from circlepol import (CheckResult, Configuration, Kernel, ValidationReport,
+                       custom_kernel, equally_spaced, log_kernel,
+                       maximize_polarization, min_curve, minimum_on_arc,
+                       perturbation_test, polarization, potential_values,
+                       power_kernel, riesz_kernel, solve_transport,
+                       validate_kernel)
 
 
 def chord(theta):
@@ -187,6 +188,47 @@ def test_validator_flags_a_nan_value():
     assert "nan" in report.finite.detail
     negative = custom_kernel(lambda t: np.where(t > 2, -np.inf, 1 / t), math.inf)
     assert "finite" in validate_kernel(negative).failures
+
+
+@pytest.mark.parametrize("exponent", [-30, -60, -100, -200])
+def test_a_small_concave_kernel_is_refused(exponent):
+    # cos t + 2 bends down on (0, pi/2): a grid midpoint lies up to 1.6e-6
+    # of the value above its chord, far past 1e-12, at every scale
+    factor = 2.0 ** exponent
+    k = custom_kernel(lambda t: factor * (np.cos(t) + 2), 3 * factor)
+    assert validate_kernel(k).failures == ("convex",)
+    with pytest.raises(ValueError, match=r"fails convex \(midpoint"):
+        polarization(k, equally_spaced(3))
+
+
+def _no_strict_margin(i):
+    theta = np.pi * np.arange(1, 1025) / 1024
+    t, u = theta[i], theta[i + 2]
+    return CheckResult(False, f"no strict midpoint margin on ({t:.6g}, {u:.6g})",
+                       (float(t), float(u)))
+
+
+# the first grid index without a strict midpoint margin, or None
+@pytest.mark.parametrize("kernel, flat_at", [
+    *[(riesz_kernel(s), None)
+      for s in (0.01, 0.1, 0.5, 1, 2, 4, 8, 20, 50, 100, 400, 1000)],
+    (riesz_kernel(1100), 897), (riesz_kernel(2000), 529), (riesz_kernel(1e4), 370),
+    (power_kernel(0.01), None), (power_kernel(0.5), None), (power_kernel(1), None),
+    (log_kernel(), None),
+    (custom_kernel(lambda t: math.pi - t, math.pi, "pi-t"), 1),
+    (custom_kernel(lambda t: np.maximum(1.0 - t, 0.0), 1.0, "max(1-t,0)"), 0),
+    (custom_kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, "(pi-t)^2"), None),
+], ids=lambda x: getattr(x, "label", None))
+def test_validation_reports_are_pinned(kernel, flat_at):
+    # every check passes, field for field, and the strict margin fails only
+    # where the kernel is flat: linear, or 0 past the normal range.  From
+    # riesz:1100 on, values near pi fall below the smallest normal float,
+    # where 1e-12 of a value would be no tolerance at all
+    passed = CheckResult(True)
+    strict = passed if flat_at is None else _no_strict_margin(flat_at)
+    slope = None if kernel.slope is None else passed
+    assert validate_kernel(kernel) == ValidationReport(
+        kernel.label, passed, passed, passed, strict, slope)
 
 
 def test_validator_flags_increasing_kernel():

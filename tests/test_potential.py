@@ -217,15 +217,25 @@ def test_result_stores_its_records_once():
                          ids=lambda k: k.label)
 @pytest.mark.parametrize("n", [1, 2, 5, 13, 20])
 def test_value_and_witnesses_follow_from_the_arcs(kernel, n):
-    # the formulas of the result's fields before they were derived
+    # value is the least arc minimum; a witness is an arc minimizer within
+    # the rounding of an n-term sum of it, 32 n eps |value|
     for c in (equally_spaced(n), random_config(np.random.default_rng(n), n)):
         r = polarization(kernel, c)
         xs, vs = r.arcs["angle"], r.arcs["value"]
         value = float(vs.min())
         assert r.value == value
         if value < math.inf:
-            tol = potential.WITNESS_TOL + potential._WITNESS_ROUNDING * n * abs(value)
+            tol = potential._rounding(n, value)
+            assert tol == 32 * np.finfo(float).eps * n * abs(value)
             assert r.witnesses == tuple(np.sort(xs[vs - value <= tol]).tolist())
+
+
+def test_a_tiny_minimum_has_no_witness_many_times_its_size():
+    # the two gap minima are 2.9e-54 and 1.4e-66: both are far below any
+    # absolute tolerance, and only the second attains the polarization
+    r = polarization(riesz_kernel(400), Configuration([0.0, 3.0]))
+    assert r.value == 1.440298312845293e-66
+    assert r.witnesses == (4.641592653589793,)
 
 
 def test_infinite_minimum_has_every_infinite_arc_as_witness():

@@ -20,10 +20,6 @@ PUBLIC = [
     "zeta_even_exact", "zeta_real",
 ]
 
-# exported by its module but not by the package: the witness tolerance,
-# due to go when witnesses come from certified bounds (ROADMAP item 3)
-NOT_EXPORTED = {("potential", "WITNESS_TOL")}
-
 
 def test_the_package_exports_exactly_the_listed_names():
     assert sorted(circlepol.__all__) == PUBLIC
@@ -36,9 +32,8 @@ def test_every_module_export_is_a_package_export():
                    if not m.name.startswith("_")):
         mod = importlib.import_module(f"circlepol.{module}")
         for name in getattr(mod, "__all__", ()):
-            if (module, name) not in NOT_EXPORTED:
-                assert name in circlepol.__all__, (module, name)
-                assert getattr(circlepol, name) is getattr(mod, name)
+            assert name in circlepol.__all__, (module, name)
+            assert getattr(circlepol, name) is getattr(mod, name)
 
 
 def test_kernels_and_configurations_have_one_spelling_per_operation():
