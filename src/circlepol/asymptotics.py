@@ -69,8 +69,8 @@ def dominant_term(s: float, n: int) -> float:
     s = 1:      n log n / pi
     0 <= s < 1: 2**(-s) / sqrt(pi) * Gamma((1-s)/2) / Gamma(1 - s/2) * n
     """
-    if not s >= 0.0:
-        raise ValueError(f"need s >= 0, got {s!r}")
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"need finite s >= 0, got {s!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n!r}")
     if abs(s - 1.0) <= _BOUNDARY_TOL:

@@ -25,8 +25,8 @@ def energy_equally_spaced(s: float, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n!r}")
-    if not s > 0.0:
-        raise ValueError(f"need s > 0, got {s!r}")
+    if not 0.0 < s < np.inf:
+        raise ValueError(f"need finite s > 0, got {s!r}")
     k = np.arange(1, n)
     return float(n * np.sum((2.0 * np.sin(np.pi * k / n)) ** (-s)))
 

@@ -44,11 +44,12 @@ class Kernel:
     are exactly 0 at pi, where the distance to a node folds back, so that
     the potential's slope is 0 at the node's antipode.  Without it,
     :meth:`derivative` takes a difference quotient of ``fn``.  The arc
-    search rests on ``fn`` being non-increasing and convex, and on ``slope``
-    being its derivative: it refuses a kernel whose :func:`validate_kernel`
-    report fails any of these checks, and computes that report once per
-    kernel.  Strict convexity, which bears only on whether the maximizer is
-    unique, is read off the same report, not declared.
+    search rests on ``fn`` being non-increasing, convex and neither NaN nor
+    -inf, and on ``slope`` being its derivative: it refuses a kernel whose
+    :func:`validate_kernel` report fails any of these checks, and computes
+    that report once per kernel.  Strict convexity, which bears only on
+    whether the maximizer is unique, is read off the same report, not
+    declared.
     """
 
     fn: Callable
@@ -321,7 +322,8 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
         avg = 0.5 * (a + b)
         columns = {"v": v, "next": v[1:], "avg": avg}
         checks = {
-            "finite": [(np.isnan(v) | (v == -INF), 0, "value {v!r} at theta={t!r}")],
+            "finite": [(np.isnan(v) | (v == -INF), 0,
+                        "value {v:.6g} at theta={t:.6g}")],
             "non_increasing": [(v[1:] > v[:-1] + _scale_tol(v[:-1], v[1:]), 1,
                                 "f({t:.6g})={v:.6g} < f({u:.6g})={next:.6g}")],
             "convex": [(mid > avg + _scale_tol(a, b), 2,
@@ -362,18 +364,13 @@ def _first_failure(rows, theta: np.ndarray, columns: dict) -> CheckResult:
     return CheckResult(True)
 
 
-# the checks the arc search rests on: the theorem's hypotheses, and a
-# declared slope, which it follows in place of fn.  A NaN raises where the
-# search meets it
-_SEARCH_CHECKS = ("non_increasing", "convex", "slope")
-
-
 def _require_hypotheses(kernel: Kernel) -> None:
-    """Raise ``ValueError`` naming, with its detail, each search check that
-    the kernel's report fails; the report is computed once per kernel."""
+    """Raise ``ValueError`` naming, with its detail, each check that the
+    kernel's report fails; the report is computed once per kernel."""
     report = kernel._report
     failed = "; ".join(f"{name} ({getattr(report, name).detail})"
-                       for name in report.failures if name in _SEARCH_CHECKS)
+                       for name in report.failures)
     if failed:
         raise ValueError(f"kernel {kernel.label!r} fails {failed}: "
-                         "the potential need not be convex on a gap")
+                         "the arc search needs a finite, non-increasing, "
+                         "convex kernel whose slope is its derivative")

@@ -57,19 +57,27 @@ _CHUNK_BUDGET = 4096
 def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
     """Potential of ``config`` under ``kernel`` at each angle in ``z``.
 
-    Values at a node of a singular kernel are ``+inf``.
+    Values at a node of a singular kernel are ``+inf``.  Raises
+    ``ValueError`` on a non-finite angle, before the kernel is called, and
+    when the kernel yields NaN.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.isfinite(z).all():
+        raise ValueError(f"z must be finite, got {z!r}")
     return _values(kernel, config.angle_array[None], z,
                    np.zeros(z.size, dtype=np.intp))
 
 
 def _values(kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
             owner: np.ndarray) -> np.ndarray:
-    # a kernel maps to [0, inf], so a value past the float range is +inf,
-    # as is one at a distance too small for the chord to be nonzero
+    # the one sum of potentials, so the one place a NaN kernel value is
+    # refused.  A kernel maps to [0, inf], so a value past the float range
+    # is +inf, as is one at a distance too small for the chord to be nonzero
     with np.errstate(divide="ignore", over="ignore"):
-        return _row_sums(_potential_sums, kernel, nodes, z, owner)
+        values = _row_sums(_potential_sums, kernel, nodes, z, owner)
+    if np.isnan(values).any():
+        raise ValueError("kernel returned NaN")
+    return values
 
 
 def _row_sums(sums, kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
@@ -215,8 +223,8 @@ def _minimize_on_arcs(
     midpoint, kept inside the open arc so it is no node: for a collapsed
     bracket, the probe.  Returns the minimizing angles (wrapped to
     [0, 2*pi)) and the minimum values.  Raises ``ValueError`` when the
-    kernel fails the non_increasing, convex or slope check of
-    :func:`validate_kernel`, or yields NaN at any evaluated point.
+    kernel fails a check of :func:`validate_kernel`, or yields NaN at any
+    evaluated point.
     """
     _require_hypotheses(kernel)
     m = starts.size
@@ -260,10 +268,7 @@ def _minimize_on_arcs(
     # be a node: keep it inside wherever the arc has an interior float
     z = np.clip(0.5 * (lo + hi), np.nextafter(starts, ends),
                 np.nextafter(ends, starts))
-    values = _values(kernel, nodes, z, owner)
-    if np.isnan(values).any():
-        raise ValueError("kernel returned NaN inside an arc")
-    return z % TWO_PI, values
+    return z % TWO_PI, _values(kernel, nodes, z, owner)
 
 
 def minimum_on_arc(

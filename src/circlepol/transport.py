@@ -204,7 +204,7 @@ def check_pair_inequality(
     ``z1`` moves clockwise and ``z2`` counterclockwise.  A coincident pair
     has an empty in-between arc (only the complement is sampled).  Raises
     ``ValueError`` on a non-finite angle or an ``eps`` outside (0, half the
-    complement).
+    complement), and when the kernel yields NaN.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")

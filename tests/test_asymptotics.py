@@ -146,6 +146,8 @@ def test_dominant_term_rejects_bad_arguments():
         dominant_term(-0.5, 4)
     with pytest.raises(ValueError):
         dominant_term(math.nan, 4)
+    with pytest.raises(ValueError, match="finite s >= 0"):
+        dominant_term(math.inf, 4)
     with pytest.raises(ValueError):
         dominant_term(2.0, 0)
 

@@ -93,6 +93,8 @@ def test_configuration_holds_only_its_angles():
 def test_empty_configuration_rejected():
     with pytest.raises(ValueError):
         Configuration([])
+    with pytest.raises(ValueError, match="angles must be finite"):
+        Configuration([0.0, math.nan])
 
 
 def test_gaps_sum_to_two_pi():
@@ -147,6 +149,8 @@ def test_config_from_gaps_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=r"gaps must be finite, got .*(nan|inf)"):
             config_from_gaps([bad, 1.0, 2.0])
+    with pytest.raises(ValueError, match="nonempty vector"):
+        config_from_gaps(np.ones((2, 3)))
 
 
 def test_json_round_trip():
@@ -154,6 +158,8 @@ def test_json_round_trip():
     c = random_config(rng, 6)
     again = config_from_json(json.dumps(list(c.angles)))
     assert again.angles == c.angles
+    with pytest.raises(ValueError, match="JSON array"):
+        config_from_json('{"a": 1}')
 
 
 def test_load_config_file_formats(tmp_path):

@@ -407,6 +407,18 @@ def test_non_integer_option_is_usage_error(capsys):
     assert "bad integer '2.5'" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--kernel", "log", "--pair", "0,1"],
+    ["check", "--kernel", "log", "--pair", "0,1,x"],
+    ["asympt", "--s", "2", "--n", ","],
+], ids=["pair-of-two", "pair-not-a-number", "empty-n-list"])
+def test_malformed_list_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])

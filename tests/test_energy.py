@@ -64,6 +64,11 @@ def test_energy_validation():
         energy_equally_spaced(-1.0, 4)
     with pytest.raises(ValueError):
         energy_equally_spaced(math.nan, 4)
+    # riesz_kernel refuses it too; the sums would read 0.0, inf and nan
+    with pytest.raises(ValueError, match="finite s > 0"):
+        energy_equally_spaced(math.inf, 4)
+    with pytest.raises(ValueError, match="finite s > 0"):
+        polarization_via_energy(math.inf, 4)
 
 
 # ---------------------------------------------------------------------------

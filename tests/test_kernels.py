@@ -277,6 +277,11 @@ def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
             search(concave)
         with pytest.raises(ValueError, match=r"non_increasing \(f\("):
             search(custom_kernel(lambda t: t, 0.0))
+        # NaN past distance 2, first met on the grid at 652 pi / 1024
+        with pytest.raises(ValueError,
+                           match=r"fails finite \(value nan at theta=2.00031\)"):
+            search(custom_kernel(lambda t: np.where(t > 2, np.nan, np.pi - t),
+                                 np.pi))
     # the potential itself rests on no hypothesis
     d = np.array([0.5, 0.5, 2.0, 2.0 * math.pi - 3.5])
     assert_allclose(potential_values(concave, c, 0.5), [-(d ** 2).sum()],
@@ -299,8 +304,9 @@ def test_the_refusal_names_every_failed_check(kernel, failed):
                       for name in failed)
     with pytest.raises(ValueError) as excinfo:
         polarization(kernel, equally_spaced(3))
-    assert str(excinfo.value) == (f"kernel {kernel.label!r} fails {named}: "
-                                  "the potential need not be convex on a gap")
+    assert str(excinfo.value) == (
+        f"kernel {kernel.label!r} fails {named}: the arc search needs a "
+        "finite, non-increasing, convex kernel whose slope is its derivative")
 
 
 @pytest.mark.parametrize("kernel", [

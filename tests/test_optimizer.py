@@ -97,6 +97,15 @@ def test_converged_to_equal_spacing_is_read_off_the_best_gaps():
     assert near.converged_to_equal_spacing
 
 
+def test_ascent_stops_when_no_gap_minimum_is_finite():
+    # riesz:400 overflows at every gap minimum of 20 equal gaps: no row of
+    # the least-squares system is finite, so the ascent takes no step
+    result = maximize_polarization(riesz_kernel(400), 20,
+                                   OptimizeOptions(restarts=1))
+    assert result.best_value == math.inf
+    assert result.per_restart[0].iterations == 0
+
+
 def test_maximize_validation():
     with pytest.raises(ValueError):
         maximize_polarization(riesz_kernel(2.0), 0)

@@ -453,24 +453,53 @@ def test_polarization_equally_spaced_witnesses_every_midpoint(s, n):
 
 
 def test_nan_kernel_raises():
+    # NaN on the validator's grid: the search refuses the kernel up front
     k = custom_kernel(lambda t: np.where(t > 1, np.nan, 1 / t), math.inf)
     c = equally_spaced(4)
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match=r"fails finite \(value nan at theta="):
         polarization(k, c)
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match=r"fails finite \(value nan at theta="):
         minimum_on_arc(k, c, c.angles[0], c.gaps[0])
 
 
 def test_nan_met_only_by_refinement_raises():
-    # NaN near distance pi/2 only: the potential is finite at both ends of
-    # the gap [0, pi], and the first probe of the derivative, at the gap's
-    # midpoint pi/2, lands in it
+    # NaN near distance pi/3 only, where no point of the validator's grid
+    # comes within 1e-3: the potential is finite at both ends of the gap
+    # [0, 2 pi/3], and the first probe of the derivative, at the gap's
+    # midpoint pi/3, lands in it
     def fn(t):
-        return np.where(np.abs(t - math.pi / 2) < 1e-4, np.nan,
+        return np.where(np.abs(t - math.pi / 3) < 1e-4, np.nan,
                         (2.0 * np.sin(t / 2.0)) ** -2.0)
+    kernel = custom_kernel(fn, math.inf)
+    assert validate_kernel(kernel).ok
     with pytest.raises(ValueError, match="NaN"):
-        minimum_on_arc(custom_kernel(fn, math.inf), equally_spaced(2),
-                       0.0, math.pi)
+        minimum_on_arc(kernel, equally_spaced(3), 0.0, 2.0 * math.pi / 3)
+
+
+def test_nan_met_only_where_potentials_are_summed_raises():
+    # fn is NaN within 1e-6 of distance pi/3, off the validator's grid, and
+    # the declared slope is clear of it: the one check on summed potentials
+    # catches it, at the argmin of each gap and at a probe
+    k = riesz_kernel(2)
+    ring = dataclasses.replace(k, fn=lambda t: np.where(
+        np.abs(t - math.pi / 3) < 1e-6, np.nan, k.fn(t)))
+    assert validate_kernel(ring).ok
+    c = equally_spaced(3)
+    with pytest.raises(ValueError, match="^kernel returned NaN$"):
+        polarization(ring, c)
+    with pytest.raises(ValueError, match="^kernel returned NaN$"):
+        potential_values(ring, c, math.pi / 3)
+    with pytest.raises(ValueError, match="^kernel returned NaN$"):
+        potential_profile(ring, c, 6)
+
+
+@pytest.mark.parametrize("z", [[math.nan, 1.0], [math.inf], [0.5, -math.inf]])
+def test_potential_values_refuses_a_non_finite_angle(z):
+    # refused before any kernel call: this kernel fails every call
+    def fn(t):
+        raise AssertionError("kernel called")
+    with pytest.raises(ValueError, match="z must be finite"):
+        potential_values(custom_kernel(fn, math.inf), equally_spaced(3), z)
 
 
 def test_nan_met_only_by_the_difference_quotient_raises():

@@ -98,6 +98,8 @@ def test_solver_matches_least_squares_oracle():
 def test_solver_input_validation():
     with pytest.raises(ValueError, match="invalid-gap-vectors"):
         solve_gap_system([0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match="empty gap-difference vector"):
+        solve_gap_system([])
     with pytest.raises(ValueError):
         solve_transport(equally_spaced(3), equally_spaced(4))
 
@@ -303,6 +305,9 @@ def test_pair_inequality_eps_validation():
                               3 * math.pi / 4)
     with pytest.raises(ValueError):
         check_pair_inequality(riesz_kernel(2), 0.0, math.pi / 2, 0.0)
+    # a valid eps with too few samples
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        check_pair_inequality(riesz_kernel(2), 0.0, 1.0, 0.1, samples=1)
 
 
 @pytest.mark.parametrize("z1, z2, name", [
@@ -311,3 +316,10 @@ def test_pair_inequality_eps_validation():
 def test_pair_inequality_rejects_a_non_finite_angle(z1, z2, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         check_pair_inequality(riesz_kernel(2), z1, z2, 0.1)
+
+
+def test_pair_inequality_raises_on_a_nan_kernel():
+    # NaN past distance 2 would read as no violation, max_violation 0.0
+    kernel = custom_kernel(lambda t: np.where(t > 2, np.nan, np.pi - t), np.pi)
+    with pytest.raises(ValueError, match="^kernel returned NaN$"):
+        check_pair_inequality(kernel, 0.0, 1.0, 0.1)
