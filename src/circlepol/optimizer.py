@@ -13,14 +13,13 @@ perturbation harness checks that equal spacing is a strict maximizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .circle_config import (TWO_PI, Configuration, _angle_rows, config_from_gaps,
-                            equally_spaced)
+from .circle_config import TWO_PI, Configuration, _angle_rows, equally_spaced
 from .kernels import Kernel
-from .potential import _polarize_rows, _rounding, _slope_terms, polarization
+from .potential import _polarize_rows, _rounding, _slope_terms
 
 __all__ = [
     "OptimizeOptions",
@@ -54,10 +53,26 @@ class RestartRecord:
 
 @dataclass(frozen=True, slots=True)
 class OptimizeResult:
+    """The best configuration found, its polarization, and every restart.
+
+    ``records`` is one immutable buffer of float64 rows, one per restart in
+    order, each ``(value, iterations, *start_gaps)``, ``n + 2`` floats for
+    the ``n`` points of ``best_config``: about a third of the memory that a
+    tuple of :class:`RestartRecord` per result would keep for a caller that
+    holds many results.  ``per_restart`` builds that tuple on each access.
+    """
+
     best_config: Configuration
     best_value: float
-    per_restart: Tuple[RestartRecord, ...]
+    records: bytes
     seed: int
+
+    @property
+    def per_restart(self) -> Tuple[RestartRecord, ...]:
+        rows = np.frombuffer(self.records).reshape(-1, self.best_config.n + 2)
+        return tuple(RestartRecord(start_gaps=tuple(row[2:].tolist()),
+                                   value=float(row[0]), iterations=int(row[1]))
+                     for row in rows)
 
     @property
     def converged_to_equal_spacing(self) -> bool:
@@ -84,9 +99,10 @@ class OptimizeResult:
 _HALVINGS = 30
 
 
-def _ascend(kernel: Kernel, start: np.ndarray,
-            max_iters: int) -> Tuple[Configuration, float, int]:
-    """Raise P = min_j m_j from the gap vector ``start`` by equalizing the m_j.
+def _ascend(kernel: Kernel, starts: np.ndarray,
+            max_iters: int) -> Tuple[np.ndarray, List[float], List[int]]:
+    """Raise P = min_j m_j from each gap vector row of ``starts`` by
+    equalizing the m_j.
 
     m_j is the minimum of the potential on gap j, attained at z_j.  By
     Danskin's theorem dm_j/dx_k = -f'(d(z_j, x_k)) sign(z_j - x_k), with the
@@ -94,47 +110,84 @@ def _ascend(kernel: Kernel, start: np.ndarray,
     the linearized equalization m_j + grad m_j . dx = t by least squares.
     The ascent stops once t exceeds P by no more than the rounding of an
     n-term sum, or when no gap's equation is finite; otherwise dx is halved
-    until every gap stays positive and P strictly rises.  Returns the final
-    configuration, P and the number of accepted steps.
+    until every gap stays positive and P strictly rises.
+
+    The restarts run in lockstep, each with its own step and halving count,
+    and each leaves the rounds when its own ascent stops.  Each round, one
+    slope pass gives the gradients of every restart that needs a new step,
+    and one engine call minimizes every live restart's trial, a fresh step
+    or its next halving.  The engine's rows and the slope terms are
+    independent of each other, so a restart takes the steps it would take
+    alone.  Returns the final angle rows, the values P and the numbers of
+    accepted steps.
     """
-    config = config_from_gaps(start)
-    result = polarization(kernel, config)
-    value = result.value
-    for iters in range(max_iters):
-        x = config.angle_array
-        arcs = result.arcs
-        z, m = arcs["angle"], arcs["value"]
-        # a value or slope past the float range is infinite, as in the
-        # engine.  Unit rows: else lstsq's cutoff drops every equation but
-        # the one of a tiny gap, whose m_j and slopes are huge under a
-        # singular kernel
+    angles = _angle_rows(starts, 0.0)
+    results = _polarize_rows(kernel, angles)
+    values = [r.value for r in results]
+    iters = [0] * len(results)
+    steps = [None] * len(results)  # each restart's next step, and its halvings
+    halved = [0] * len(results)
+    live = range(len(results))
+    while live:
+        fresh = [r for r in live if steps[r] is None and iters[r] < max_iters]
+        for r, step in zip(fresh, _steps(kernel, angles, results, values, fresh)):
+            steps[r], halved[r] = step, 0
+        trials = []
+        for r in live:
+            while steps[r] is not None and halved[r] <= _HALVINGS:
+                moved = np.concatenate(([0.0], angles[r, 1:] + steps[r]))
+                if (np.diff(moved, append=TWO_PI) > 0.0).all():
+                    trials.append((r, moved))
+                    break
+                steps[r], halved[r] = steps[r] / 2.0, halved[r] + 1
+        live = [r for r, _ in trials]
+        if not live:
+            break
+        # a trial's gaps from 0 to 2 pi are positive, so its angles are
+        # sorted and in [0, 2 pi): the engine takes it as a row, as it is
+        for (r, moved), result in zip(trials, _polarize_rows(
+                kernel, np.array([moved for _, moved in trials]))):
+            if result.value > values[r]:
+                angles[r], results[r], values[r] = moved, result, result.value
+                iters[r], steps[r] = iters[r] + 1, None
+            else:
+                steps[r], halved[r] = steps[r] / 2.0, halved[r] + 1
+    return angles, values, iters
+
+
+def _steps(kernel: Kernel, angles: np.ndarray, results: list, values: list,
+           which: List[int]) -> List[Optional[np.ndarray]]:
+    """The step dx of each restart in ``which`` (see :func:`_ascend`), or
+    None where its ascent stops."""
+    if not which:
+        return []
+    arcs = [results[r].arcs for r in which]
+    sizes = [a.size for a in arcs]
+    z = np.concatenate([a["angle"] for a in arcs])
+    # a value or slope past the float range is infinite, and a node one ulp
+    # from a gap's minimizer gives -inf * 0, as in the engine; the row then
+    # is not finite and is left out below
+    with np.errstate(invalid="ignore", over="ignore"):
+        grads = -_slope_terms(kernel, angles[np.repeat(which, sizes), 1:], z)
+    n = angles.shape[1]
+    out = []
+    for r, a, grad in zip(which, arcs, np.split(grads, np.cumsum(sizes)[:-1])):
+        m, value = a["value"], values[r]
+        # unit rows: else lstsq's cutoff drops every equation but the one of
+        # a tiny gap, whose m_j and slopes are huge under a singular kernel
         with np.errstate(over="ignore"):
-            grad = -_slope_terms(kernel, x[1:], z)
             system = np.column_stack([grad, -np.ones(m.size)])
             scale = np.linalg.norm(system, axis=1)
         # a row past the float range, in m_j, the gradient or its norm,
         # belongs to a tiny gap whose minimum is far above P: it is left out
         rows = np.isfinite(m) & np.isfinite(scale)
         if not rows.any():
-            return config, value, iters
+            out.append(None)
+            continue
         step, *_ = np.linalg.lstsq(system[rows] / scale[rows, None],
                                    -m[rows] / scale[rows], rcond=None)
-        if step[-1] - value <= _rounding(config.n, value):
-            return config, value, iters
-        dx = step[:-1]
-        for _ in range(_HALVINGS + 1):
-            moved = np.concatenate(([0.0], x[1:] + dx))
-            if (np.diff(moved, append=TWO_PI) > 0.0).all():
-                trial = Configuration(moved)
-                trial_result = polarization(kernel, trial)
-                trial_value = trial_result.value
-                if trial_value > value:
-                    break
-            dx = dx / 2.0
-        else:
-            return config, value, iters
-        config, result, value = trial, trial_result, trial_value
-    return config, value, max_iters
+        out.append(None if step[-1] - value <= _rounding(n, value) else step[:-1])
+    return out
 
 
 def maximize_polarization(
@@ -152,20 +205,14 @@ def maximize_polarization(
         raise ValueError(f"need n >= 1, got {n!r}")
     opts = opts or OptimizeOptions()
     rng = np.random.default_rng(opts.seed)
-    records = []
-    best_config, best_value = None, -np.inf
-    for r in range(opts.restarts):
-        start = (np.full(n, TWO_PI / n) if r == 0
-                 else rng.dirichlet(np.ones(n)) * TWO_PI)
-        config, value, iters = _ascend(kernel, start, opts.max_iters)
-        records.append(RestartRecord(start_gaps=tuple(float(g) for g in start),
-                                     value=float(value), iterations=iters))
-        if value > best_value:
-            best_config, best_value = config, value
+    starts = np.array([np.full(n, TWO_PI / n)] + [
+        rng.dirichlet(np.ones(n)) * TWO_PI for _ in range(opts.restarts - 1)])
+    angles, values, iters = _ascend(kernel, starts, opts.max_iters)
+    best = int(np.argmax(values))  # the first of equal values
     return OptimizeResult(
-        best_config=best_config,
-        best_value=float(best_value),
-        per_restart=tuple(records),
+        best_config=Configuration(angles[best]),
+        best_value=float(values[best]),
+        records=np.column_stack([values, iters, starts]).tobytes(),
         seed=opts.seed,
     )
 

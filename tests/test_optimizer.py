@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +161,47 @@ def test_gaps_whose_slopes_overflow_leave_the_step(seed):
     result = maximize_polarization(kernel, 4, OptimizeOptions(seed=seed))
     equal = polarization(kernel, equally_spaced(4)).value
     assert result.best_value == pytest.approx(equal, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [50, 400])
+def test_gradient_at_a_node_leaks_no_warning(s):
+    # a random start drives two nodes one ulp apart: that gap's minimizer is
+    # a node, whose slope term is -inf * 0.  The NaN row leaves the step, and
+    # no warning escapes the suite's error::RuntimeWarning filter
+    kernel = riesz_kernel(s)
+    result = maximize_polarization(kernel, 5)
+    assert result.best_value == polarization(kernel, equally_spaced(5)).value
+    assert result.converged_to_equal_spacing
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("kernel", [
+    log_kernel(), riesz_kernel(2.0), power_kernel(0.5),
+    custom_kernel(lambda t: math.pi - t, math.pi, label="pi-t"),
+], ids=lambda k: k.label)
+def test_restart_records_do_not_depend_on_the_other_restarts(kernel, seed):
+    # the restarts share their passes and engine calls, yet each takes the
+    # steps it would take with fewer restarts beside it
+    for n in range(2, 9):
+        many = maximize_polarization(kernel, n, OptimizeOptions(restarts=8, seed=seed))
+        few = maximize_polarization(kernel, n, OptimizeOptions(restarts=3, seed=seed))
+        assert many.per_restart[:3] == few.per_restart, n
+
+
+def test_results_keep_little_memory():
+    kernel = log_kernel()
+    maximize_polarization(kernel, 6)  # the kernel's validation report, once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = [maximize_polarization(kernel, 6) for _ in range(100)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(results[0].per_restart) == 8
+    assert held / len(results) <= 1500
 
 
 # ---------------------------------------------------------------------------
