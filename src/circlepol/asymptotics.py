@@ -10,10 +10,8 @@ of gamma values.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-from typing import Tuple
+
+from .exact_series import _bernoulli
 
 __all__ = [
     "zeta_real",
@@ -21,51 +19,42 @@ __all__ = [
     "asymptotic_ratio",
 ]
 
-DEFAULT_ZETA_TERMS = 64
-
 # s within this distance of 1 is treated as the logarithmic boundary case
 _BOUNDARY_TOL = 1e-14
 
 
-@lru_cache(maxsize=None)
-def _alternating_weights(terms: int) -> Tuple[int, ...]:
-    """Chebyshev-derived integer weights for the accelerated eta series."""
-    acc = Fraction(0)
-    out = []
-    for i in range(terms + 1):
-        acc += Fraction(factorial(terms + i - 1) * 4 ** i,
-                        factorial(terms - i) * factorial(2 * i))
-        d = terms * acc
-        if d.denominator != 1:
-            raise AssertionError("acceleration weights must be integers")
-        out.append(d.numerator)
-    return tuple(out)
-
-
 def zeta_real(s: float) -> float:
-    """Riemann zeta for real s > 1.
+    """Riemann zeta for real s > 1, within 1e-15 relative.
 
-    Computed from the alternating (eta) series with Chebyshev acceleration:
-    64 terms give far better than 1e-12 relative accuracy uniformly on
-    (1, 50]; the eta-to-zeta factor 1/(1 - 2**(1-s)) handles s near 1.
+    Euler-Maclaurin summation (DLMF 25.2(iii)): k**-s for k < N = 10, then
+    N**(1-s)/(s-1) + N**-s/2 and ten corrections
+    B_2j/(2j)! s(s+1)...(s+2j-2) N**(1-s-2j).  As s grows every power
+    underflows, so the result tends to 1.0 and never overflows.
     """
     if not s > 1.0:
         raise ValueError(f"zeta_real needs s > 1, got {s!r}")
-    weights = _alternating_weights(DEFAULT_ZETA_TERMS)
-    d_last = weights[DEFAULT_ZETA_TERMS]
-    total = 0.0
-    for k in range(DEFAULT_ZETA_TERMS):
-        total += (-1) ** k * float(weights[k] - d_last) / (k + 1.0) ** s
-    # expm1 keeps the eta-to-zeta factor fully accurate as s -> 1, where
-    # 1 - 2**(1-s) would cancel catastrophically.
-    eta_factor = -math.expm1((1.0 - s) * math.log(2.0))
-    return -total / (d_last * eta_factor)
+    cutoff = 10.0
+    bernoulli = _bernoulli(20)
+    total = sum(k ** -s for k in range(1, 10))
+    total += cutoff ** (1.0 - s) / (s - 1.0) + 0.5 * cutoff ** -s
+    rising = s  # s (s + 1) ... (s + 2j - 2)
+    for j in range(1, 11):
+        term = (float(bernoulli[2 * j]) / math.factorial(2 * j) * rising
+                * cutoff ** (1.0 - s - 2 * j))
+        if term == 0.0:
+            # the power has underflowed, and so will every later one;
+            # going on would overflow `rising` and give 0 * inf = NaN
+            break
+        total += term
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return total
 
 
 def dominant_term(s: float, n: int) -> float:
     """Leading term of the n-point polarization for the power kernel exponent s.
 
-    s > 1:      2 zeta(s) (2**s - 1) / (2 pi)**s * n**s
+    s > 1:      2 zeta(s) (2**s - 1) (n / (2 pi))**s, taken as one power
+                (n / pi)**s: ``OverflowError`` only past the float range
     s = 1:      n log n / pi
     0 <= s < 1: 2**(-s) / sqrt(pi) * Gamma((1-s)/2) / Gamma(1 - s/2) * n
     """
@@ -76,8 +65,11 @@ def dominant_term(s: float, n: int) -> float:
     if abs(s - 1.0) <= _BOUNDARY_TOL:
         return n * math.log(n) / math.pi
     if s > 1.0:
-        return (2.0 * zeta_real(s) * (2.0 ** s - 1.0)
-                / (2.0 * math.pi) ** s * float(n) ** s)
+        term = 2.0 * zeta_real(s) * (1.0 - 2.0 ** -s) * (n / math.pi) ** s
+        if term == math.inf:  # a power raises past the range, a product not
+            raise OverflowError(
+                f"dominant term past the float range at s={s!r}, n={n!r}")
+        return term
     return (2.0 ** (-s) / math.sqrt(math.pi)
             * math.gamma((1.0 - s) / 2.0) / math.gamma(1.0 - s / 2.0) * n)
 

@@ -50,11 +50,11 @@ def zeta_even_exact(k: int) -> Fraction:
     return Fraction((-1) ** (k + 1)) * b * 2 ** (2 * k - 1) / factorial(2 * k)
 
 
-def sinc_power_coefficients(s: ExactScalar, order: int) -> List[Tuple[Fraction, int]]:
+def sinc_power_coefficients(s: ExactScalar, order: int) -> List[Fraction]:
     """Even Taylor coefficients of ((sin pi z)/(pi z))**(-s).
 
-    Returns ``(rational, grade)`` pairs: coefficient ``j`` of z**(2j) is
-    ``rational * pi**grade`` with ``grade = 2j``.  The constant term is 1.
+    Returns ``order + 1`` rationals: coefficient ``j`` of z**(2j) is
+    ``rationals[j] * pi**(2j)``.  The constant term is 1.
 
     The sinc series in w = (pi z)**2 has coefficients
     f_j = (-1)**j / (2j + 1)!, and g = f**a with a = -s and f_0 = 1 follows
@@ -69,7 +69,7 @@ def sinc_power_coefficients(s: ExactScalar, order: int) -> List[Tuple[Fraction, 
     for k in range(1, order + 1):
         g.append(sum(((a + 1) * j - k) * f[j] * g[k - j]
                      for j in range(1, k + 1)) / k)
-    return [(c, 2 * j) for j, c in enumerate(g)]
+    return g
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +117,6 @@ def exact_polarization_polynomial(m: int) -> ExactPolynomial:
     terms = []
     for k in range(1, m + 1):
         q = zeta_even_exact(k)
-        rational, _ = alphas[m - k]
-        coeff = 2 * q * rational * (2 ** (2 * k) - 1) / Fraction(4 ** m)
+        coeff = 2 * q * alphas[m - k] * (2 ** (2 * k) - 1) / Fraction(4 ** m)
         terms.append((2 * k, coeff))
     return ExactPolynomial(tuple(terms))

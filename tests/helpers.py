@@ -65,8 +65,7 @@ def assert_sinc_power_matches_taylor(mpmath, s, order):
         exponent = mpmath.mpf(s.numerator) / s.denominator
         taylor = mpmath.taylor(lambda z: mpmath.sincpi(z) ** -exponent,
                                0, 2 * order)
-        for j, (rational, grade) in enumerate(coeffs):
-            assert grade == 2 * j
+        for j, rational in enumerate(coeffs):
             assert rational.denominator < 10 ** 18, (s, j)
             want = taylor[2 * j] / mpmath.pi ** (2 * j)
             got = mpmath.mpf(rational.numerator) / rational.denominator

@@ -80,6 +80,25 @@ def test_zeta_real_is_decreasing_and_tends_to_one():
     assert math.isclose(zeta_real(50.0), 1.0, rel_tol=1e-14)
 
 
+def test_zeta_real_matches_mpmath_from_one_to_ten_thousand():
+    # log grids in s - 1 from 1e-15 to 1 and in s from 2 to 1e4
+    mpmath = pytest.importorskip("mpmath")
+    grid = [1.0 + 10.0 ** (-15 + 15 * i / 59) for i in range(60)]
+    grid += [2.0 * 5000.0 ** (i / 59) for i in range(60)]
+    with mpmath.workdps(40):
+        for s in grid:
+            want = mpmath.zeta(mpmath.mpf(s))
+            error = abs((mpmath.mpf(zeta_real(s)) - want) / want)
+            assert error <= 1e-15, s
+
+
+def test_zeta_real_is_one_where_every_power_underflows():
+    # the Euler-Maclaurin corrections stop once they underflow; carried on,
+    # their rising factor overflows and 0 * inf gives NaN
+    for s in (1e200, 1.7e308):
+        assert zeta_real(s) == 1.0
+
+
 @pytest.mark.parametrize("s", [1.0, 0.5, 0.0, -2.0])
 def test_zeta_real_rejects_arguments_at_or_below_one(s):
     with pytest.raises(ValueError):
@@ -121,6 +140,24 @@ def test_dominant_term_sublinear_matches_mpmath_closed_form(n):
                  * mpmath.gamma((1 - s) / 2) / mpmath.gamma(1 - s / 2) * n)
         error = abs((mpmath.mpf(dominant_term(0.5, n)) - exact) / exact)
     assert error <= 5e-16
+
+
+def test_dominant_term_past_the_range_of_two_pi_to_the_s():
+    # (2 pi)**400 is past the float range, the term itself is not; a term
+    # that is past it still raises
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = mpmath.mpf(400)
+        exact = (2 * mpmath.zeta(s) * (mpmath.power(2, s) - 1)
+                 * mpmath.power(3 / (2 * mpmath.pi), s))
+        error = abs((mpmath.mpf(dominant_term(400.0, 3)) - exact) / exact)
+    assert error <= 1e-13
+    with pytest.raises(OverflowError):
+        dominant_term(400.0, 1000)
+    # (4 / pi)**2937.5 is 1.5e308, finite; twice it is not
+    assert (4 / math.pi) ** 2937.5 < 1.7e308
+    with pytest.raises(OverflowError):
+        dominant_term(2937.5, 4)
 
 
 def test_dominant_term_at_boundary_is_n_log_n_over_pi():

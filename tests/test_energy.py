@@ -101,6 +101,15 @@ def test_energy_identity_exact_polynomial_case():
                             rel_tol=1e-13)
 
 
+def test_polarization_via_energy_past_the_float_range_is_inf():
+    # the energy of 40 points at s = 400 is past the float range at n and
+    # 2n, so the difference would be inf - inf; the suite turns numpy's
+    # overflow warning into an error
+    assert energy_equally_spaced(400.0, 40) == math.inf
+    assert polarization_via_energy(400.0, 40) == math.inf
+    assert polarization_via_energy(400.0, 19) == math.inf
+
+
 def test_polarization_via_energy_validation():
     with pytest.raises(ValueError):
         polarization_via_energy(2.0, 0)

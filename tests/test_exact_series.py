@@ -19,10 +19,6 @@ def _product(a, b):
             for k in range(min(len(a), len(b)))]
 
 
-def _rationals(s, order):
-    return [c for c, _ in sinc_power_coefficients(s, order=order)]
-
-
 def test_bernoulli_values():
     b = _bernoulli(8)
     assert b[0] == 1
@@ -45,11 +41,11 @@ def test_zeta_even_exact_values():
 def test_sinc_power_constant_term_and_first_coefficient():
     for s in (1, 2, Fraction(7, 3), 8):
         coeffs = sinc_power_coefficients(s, order=3)
-        assert coeffs[0] == (Fraction(1), 0)
-        # first coefficient is s/6 at grade 2
-        assert coeffs[1] == (Fraction(s, 6), 2)
-    assert sinc_power_coefficients(4, order=2)[1][0] == Fraction(2, 3)
-    assert sinc_power_coefficients(6, order=2)[1][0] == 1
+        assert coeffs[0] == 1
+        # first coefficient is s/6, of z**2
+        assert coeffs[1] == Fraction(s, 6)
+    assert sinc_power_coefficients(4, order=2)[1] == Fraction(2, 3)
+    assert sinc_power_coefficients(6, order=2)[1] == 1
 
 
 def test_exact_path_rejects_floats():
@@ -62,21 +58,23 @@ def test_exact_path_rejects_floats():
 def test_sinc_power_rejects_negative_order():
     with pytest.raises(ValueError):
         sinc_power_coefficients(2, order=-1)
-    assert sinc_power_coefficients(2, order=0) == [(Fraction(1), 0)]
+    assert sinc_power_coefficients(2, order=0) == [Fraction(1)]
 
 
 def test_sinc_power_round_trip_is_exact():
     # sinc**(-s) times sinc**s is 1, term by term and exactly
     for s in (1, 2, Fraction(7, 3), Fraction(-1, 2), 8):
-        product = _product(_rationals(s, 12), _rationals(-s, 12))
+        product = _product(sinc_power_coefficients(s, order=12),
+                           sinc_power_coefficients(-s, order=12))
         assert product == [1] + [0] * 12, s
 
 
 def test_series_pow_matches_repeated_product():
     # the recurrence for exponent 3s against the cube of the one for s
     for s in (1, Fraction(7, 3), Fraction(1, 2)):
-        g = _rationals(s, 10)
-        assert _rationals(3 * s, 10) == _product(_product(g, g), g), s
+        g = sinc_power_coefficients(s, order=10)
+        assert (sinc_power_coefficients(3 * s, order=10)
+                == _product(_product(g, g), g)), s
 
 
 def test_sinc_power_agrees_with_generalized_bernoulli_route():
