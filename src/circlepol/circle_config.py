@@ -125,9 +125,16 @@ def _angle_rows(gaps: np.ndarray, anchor: float) -> np.ndarray:
 # --- serialization -------------------------------------------------------
 
 def config_from_json(text: str, units: str = "radians") -> Configuration:
+    """Configuration from a JSON array of numbers; ``ValueError`` for any
+    other entry, ``true``, ``"1"``, ``null`` or an array among them."""
     values = json.loads(text)
     if not isinstance(values, list):
         raise ValueError("expected a JSON array of angles")
+    for v in values:
+        # json gives a number as exactly int or float; a bool is an int
+        if type(v) not in (int, float):
+            raise ValueError("expected a JSON array of numbers, "
+                             f"got {json.dumps(v)}")
     return _from_values(values, units)
 
 

@@ -2,7 +2,8 @@
 
 One executable with one subcommand per computation; all output is
 machine-readable (JSON objects or CSV with a header row).  Floats are
-printed in shortest round-trip form; infinities print as ``inf``.  Exit
+printed in shortest round-trip form; infinities print as ``inf`` in CSV and
+as ``Infinity`` in JSON, the spelling of Python's ``json`` module.  Exit
 codes: 0 success, 1 computation error (or, for ``check``, a violation),
 2 usage error.  Each command builds its whole output before any of it is
 written, so stdout is empty unless the command ran to the end; a usage

@@ -1,11 +1,11 @@
 """Kernel family for circle potentials.
 
 A kernel is a non-increasing convex function of geodesic distance on
-[0, pi], extended-real-valued at 0.  The concrete kernels shipped here are
-the inverse-power (Riesz) kernel of the chord length, the logarithmic
-kernel, and a negated chord-power kernel, each with its exact derivative;
-arbitrary kernels can be wrapped with :func:`custom_kernel` and
-sanity-checked with :func:`validate_kernel`.
+[0, pi], extended-real-valued at 0.  The kernels shipped here, inverse-power
+(Riesz), logarithmic and negated power, are each a function of the chord
+``2 sin(theta/2)`` with its exact derivative; any other function of the
+distance is wrapped as ``Kernel(fn, value_at_zero)``, and
+:func:`validate_kernel` sanity-checks either.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "riesz_kernel",
     "log_kernel",
     "power_kernel",
-    "custom_kernel",
     "validate_kernel",
 ]
 
@@ -35,7 +34,8 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class Kernel:
-    """Extended-real kernel of geodesic distance.
+    """Extended-real kernel of geodesic distance: ``Kernel(fn, value_at_zero)``
+    wraps any function, and nothing is checked when it is built.
 
     ``fn`` must accept positive floats (scalars or numpy arrays) in
     (0, pi] and evaluate elementwise; ``value_at_zero`` is the limit of
@@ -130,7 +130,7 @@ def _folded_difference(fn, d, step):
 
 def _chord(theta):
     """The chord ``2 sin(theta/2)`` on [0, pi], as ``4t / (1 + t**2)`` with
-    ``t = tan(theta/4)``.
+    ``t = tan(theta/4)``, and as ``theta`` itself below 1e-150.
 
     Within about 2 ulp of the chord (a relative error below 1.4 eps against
     40-digit mpmath, where the sine gives 0.5 eps), and exactly 2 at pi.
@@ -139,7 +139,7 @@ def _chord(theta):
     element and this whole formula about 7.
     """
     t = np.tan(0.25 * theta)
-    return 4.0 * t / (1.0 + t * t)
+    return _theta_where_tiny(theta, 4.0 * t / (1.0 + t * t))
 
 
 def _chord_and_cosine(theta):
@@ -156,26 +156,27 @@ def _chord_and_cosine(theta):
     q = t * t
     p = 1.0 + q
     cosine = (1.0 - q) / p
-    # a reduction, where a mask of every pass would cost four times as much
-    if np.max(theta, initial=0.0) >= np.pi:
+    # a reduction, where a mask of every pass would cost four times as much;
+    # the array method costs half what np.max does on a small block
+    if np.asarray(theta).max(initial=0.0) >= np.pi:
         cosine = np.where(theta < np.pi, cosine, 0.0)
-    return 4.0 * t / p, cosine
+    return _theta_where_tiny(theta, 4.0 * t / p), cosine
 
 
-def _chord_power(exponent: float, negated: bool, **fields) -> Kernel:
-    """The kernel ``c**exponent`` of the chord ``c``, negated if asked, with
-    its slope from the chain rule, ``f' = g'(c) cos(theta/2)``."""
-    coefficient = -exponent if negated else exponent
+def _theta_where_tiny(theta, chord):
+    """``chord``, with ``theta`` in its place below 1e-150, where the chord
+    rounds to it and the tangent of a subnormal ``0.25 * theta`` loses bits;
+    the test reads the chord, which has a ``min`` method where a float has not."""
+    if chord.min(initial=INF) < 1e-150:
+        chord = np.where(theta < 1e-150, theta, chord)
+    return chord
 
-    def fn(theta):
-        value = _chord(theta) ** exponent
-        return -value if negated else value
 
-    def slope(theta):
-        chord, cosine = _chord_and_cosine(theta)
-        return coefficient * cosine * chord ** (exponent - 1.0)
-
-    return Kernel(fn=fn, slope=slope, **fields)
+def _chord_kernel(value: Callable, slope: Callable, **fields) -> Kernel:
+    """The kernel ``value(c)`` of the chord ``c``; its slope is
+    ``slope(c, cos(theta/2))``, ``value'(c) cos(theta/2)`` by the chain rule."""
+    return Kernel(fn=lambda theta: value(_chord(theta)),
+                  slope=lambda theta: slope(*_chord_and_cosine(theta)), **fields)
 
 
 def riesz_kernel(s: float) -> Kernel:
@@ -188,7 +189,9 @@ def riesz_kernel(s: float) -> Kernel:
     if not 0.0 < s < INF:
         raise ValueError(f"riesz kernel needs finite s > 0, got {s} "
                          "(use power_kernel or log_kernel instead)")
-    return _chord_power(-s, False, value_at_zero=INF, label=f"riesz:{s:g}")
+    return _chord_kernel(lambda c: c ** -s,
+                         lambda c, cos: -s * cos * c ** (-s - 1.0),
+                         value_at_zero=INF, label=f"riesz:{s:g}")
 
 
 def log_kernel() -> Kernel:
@@ -197,15 +200,8 @@ def log_kernel() -> Kernel:
     Bounded below by ``-log 2``; adding the constant ``log 2`` would make it
     nonnegative without changing any minimizer or optimal configuration.
     """
-
-    def fn(theta):
-        return -np.log(_chord(theta))
-
-    def slope(theta):
-        chord, cosine = _chord_and_cosine(theta)
-        return -cosine / chord
-
-    return Kernel(fn=fn, value_at_zero=INF, label="log", slope=slope)
+    return _chord_kernel(lambda c: -np.log(c), lambda c, cos: -cos / c,
+                         value_at_zero=INF, label="log")
 
 
 def power_kernel(alpha: float) -> Kernel:
@@ -218,18 +214,9 @@ def power_kernel(alpha: float) -> Kernel:
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"power kernel needs alpha in (0, 1], got {alpha}")
-    return _chord_power(alpha, True, value_at_zero=0.0, label=f"power:{alpha:g}")
-
-
-def custom_kernel(fn: Callable, value_at_zero: float, label: str = "custom") -> Kernel:
-    """Wrap a caller-supplied function on (0, pi] as a :class:`Kernel`.
-
-    Nothing is verified or declared here; the arc search checks the kernel
-    with :func:`validate_kernel` on first use, and ``strictly_convex`` reads
-    that report.  Its slope is a difference quotient;
-    ``Kernel(..., slope=...)`` declares an exact one.
-    """
-    return Kernel(fn=fn, value_at_zero=float(value_at_zero), label=label)
+    return _chord_kernel(lambda c: -(c ** alpha),
+                         lambda c, cos: -alpha * cos * c ** (alpha - 1.0),
+                         value_at_zero=0.0, label=f"power:{alpha:g}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,12 +245,8 @@ class ValidationReport:
 
     @property
     def failures(self) -> Tuple[str, ...]:
-        named = (
-            ("finite", self.finite),
-            ("non_increasing", self.non_increasing),
-            ("convex", self.convex),
-            ("slope", self.slope),
-        )
+        named = (("finite", self.finite), ("non_increasing", self.non_increasing),
+                 ("convex", self.convex), ("slope", self.slope))
         return tuple(name for name, c in named if c is not None and not c.passed)
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (TWO_PI, Configuration, config_from_gaps,
-                       config_from_json, custom_kernel, equally_spaced,
+from circlepol import (TWO_PI, Configuration, Kernel, config_from_gaps,
+                       config_from_json, equally_spaced,
                        load_config_file, potential_values)
 from helpers import random_config
 
@@ -126,7 +126,7 @@ def test_equally_spaced_gaps_and_phase():
 
 def test_geodesic_distance_basics():
     # one node's potential under f(t) = pi - t is pi - d(z, node)
-    fold = custom_kernel(lambda t: math.pi - t, math.pi)
+    fold = Kernel(lambda t: math.pi - t, math.pi)
 
     def distance(z, node):
         return math.pi - potential_values(fold, Configuration([node]), z)[0]
@@ -160,6 +160,13 @@ def test_json_round_trip():
     assert again.angles == c.angles
     with pytest.raises(ValueError, match="JSON array"):
         config_from_json('{"a": 1}')
+
+
+@pytest.mark.parametrize("text", ["[true, 2]", '["1", 2]', "[null, 1]", "[[1], 2]"])
+def test_json_angles_are_numbers_only(text):
+    # a bool is no JSON number, nor is a numeric string, a null or an array
+    with pytest.raises(ValueError, match="JSON array of numbers"):
+        config_from_json(text)
 
 
 def test_load_config_file_formats(tmp_path):

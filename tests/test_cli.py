@@ -434,6 +434,16 @@ def test_malformed_config_file_is_computation_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ["[true, 2]", '["1", 2]', "[null, 1]", "[[1], 2]"])
+def test_config_entry_that_is_no_number_is_computation_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "polarization", "--kernel", "riesz:2",
+                         "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: expected a JSON array of numbers")
+
+
 def test_missing_config_file_is_computation_error(capsys, tmp_path):
     code, _, err = run(capsys, "polarization", "--kernel", "riesz:2",
                        "--config", str(tmp_path / "nope.json"))

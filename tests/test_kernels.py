@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from circlepol import (CheckResult, Configuration, Kernel, ValidationReport,
-                       custom_kernel, equally_spaced, log_kernel,
+                       equally_spaced, log_kernel,
                        maximize_polarization, min_curve, minimum_on_arc,
                        perturbation_test, polarization, potential_values,
                        power_kernel, riesz_kernel, solve_transport,
@@ -39,6 +39,18 @@ def test_log_kernel_matches_log_inverse_chord():
     rng = np.random.default_rng(8)
     for theta in rng.uniform(1e-6, math.pi, 25):
         assert_allclose(k.eval(theta), -math.log(chord(theta)), atol=1e-12)
+
+
+def test_chord_is_the_distance_below_the_normal_range():
+    # 0.25 * theta loses bits below 4 * 2**-1022, and 2 sin(theta/2) rounds
+    # to theta there: each kernel is finite, with no divide by zero
+    theta = np.array([5e-324, 1e-323, 1e-310])
+    assert_allclose(riesz_kernel(0.5).eval(theta), theta ** -0.5, rtol=1e-15)
+    assert_allclose(log_kernel().eval(theta), -np.log(theta), rtol=1e-15)
+    # one probe, 5e-324 from both nodes of the 1e-323 gap
+    r = polarization(riesz_kernel(0.5), Configuration([0.0, 1e-323, 2.0, 4.0]))
+    assert r.per_arc_minima[0][:2] == (0, 5e-324)
+    assert_allclose(r.per_arc_minima[0][2], 2 * 5e-324 ** -0.5, rtol=1e-15)
 
 
 def test_power_kernel_values_and_flags():
@@ -182,11 +194,11 @@ def test_kernels_that_overflow_to_inf_pass_validation(s):
 
 
 def test_validator_flags_a_nan_value():
-    k = custom_kernel(lambda t: np.where(t > 2, np.nan, 1 / t), math.inf)
+    k = Kernel(lambda t: np.where(t > 2, np.nan, 1 / t), math.inf)
     report = validate_kernel(k)
     assert report.failures == ("finite",)
     assert "nan" in report.finite.detail
-    negative = custom_kernel(lambda t: np.where(t > 2, -np.inf, 1 / t), math.inf)
+    negative = Kernel(lambda t: np.where(t > 2, -np.inf, 1 / t), math.inf)
     assert "finite" in validate_kernel(negative).failures
 
 
@@ -195,7 +207,7 @@ def test_a_small_concave_kernel_is_refused(exponent):
     # cos t + 2 bends down on (0, pi/2): a grid midpoint lies up to 1.6e-6
     # of the value above its chord, far past 1e-12, at every scale
     factor = 2.0 ** exponent
-    k = custom_kernel(lambda t: factor * (np.cos(t) + 2), 3 * factor)
+    k = Kernel(lambda t: factor * (np.cos(t) + 2), 3 * factor)
     assert validate_kernel(k).failures == ("convex",)
     with pytest.raises(ValueError, match=r"fails convex \(midpoint"):
         polarization(k, equally_spaced(3))
@@ -215,9 +227,9 @@ def _no_strict_margin(i):
     (riesz_kernel(1100), 897), (riesz_kernel(2000), 529), (riesz_kernel(1e4), 370),
     (power_kernel(0.01), None), (power_kernel(0.5), None), (power_kernel(1), None),
     (log_kernel(), None),
-    (custom_kernel(lambda t: math.pi - t, math.pi, "pi-t"), 1),
-    (custom_kernel(lambda t: np.maximum(1.0 - t, 0.0), 1.0, "max(1-t,0)"), 0),
-    (custom_kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, "(pi-t)^2"), None),
+    (Kernel(lambda t: math.pi - t, math.pi, "pi-t"), 1),
+    (Kernel(lambda t: np.maximum(1.0 - t, 0.0), 1.0, "max(1-t,0)"), 0),
+    (Kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, "(pi-t)^2"), None),
 ], ids=lambda x: getattr(x, "label", None))
 def test_validation_reports_are_pinned(kernel, flat_at):
     # every check passes, field for field, and the strict margin fails only
@@ -232,14 +244,14 @@ def test_validation_reports_are_pinned(kernel, flat_at):
 
 
 def test_validator_flags_increasing_kernel():
-    k = custom_kernel(lambda t: t, value_at_zero=0.0)
+    k = Kernel(lambda t: t, value_at_zero=0.0)
     report = validate_kernel(k)
     assert not report.non_increasing.passed
     assert report.non_increasing.witness is not None
 
 
 def test_validator_flags_concave_kernel():
-    k = custom_kernel(lambda t: -(t ** 2), value_at_zero=0.0)
+    k = Kernel(lambda t: -(t ** 2), value_at_zero=0.0)
     report = validate_kernel(k)
     assert report.non_increasing.passed
     assert not report.convex.passed
@@ -252,9 +264,7 @@ def test_no_kernel_can_declare_the_hypotheses_away():
     names = [f.name for f in dataclasses.fields(Kernel)]
     assert names == ["fn", "value_at_zero", "label", "slope"]
     with pytest.raises(TypeError):
-        custom_kernel(lambda t: -(t ** 2), 0.0, convex=False)
-    with pytest.raises(TypeError):
-        custom_kernel(lambda t: math.pi - t, math.pi, strictly_convex=True)
+        Kernel(lambda t: -(t ** 2), 0.0, convex=False)
     with pytest.raises(TypeError):
         Kernel(lambda t: math.pi - t, math.pi, strictly_convex=True)
 
@@ -262,7 +272,7 @@ def test_no_kernel_can_declare_the_hypotheses_away():
 def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
     # -t**2 decreases but is concave: on these nodes the secant steps would
     # return -15.67 where a dense scan of the potential finds -17.17
-    concave = custom_kernel(lambda t: -(t ** 2), 0.0)
+    concave = Kernel(lambda t: -(t ** 2), 0.0)
     c = Configuration([0.0, 1.0, 2.5, 4.0])
     plan = solve_transport(c, equally_spaced(4))
     searches = [
@@ -276,12 +286,12 @@ def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
         with pytest.raises(ValueError, match=r"convex \(midpoint convexity"):
             search(concave)
         with pytest.raises(ValueError, match=r"non_increasing \(f\("):
-            search(custom_kernel(lambda t: t, 0.0))
+            search(Kernel(lambda t: t, 0.0))
         # NaN past distance 2, first met on the grid at 652 pi / 1024
         with pytest.raises(ValueError,
                            match=r"fails finite \(value nan at theta=2.00031\)"):
-            search(custom_kernel(lambda t: np.where(t > 2, np.nan, np.pi - t),
-                                 np.pi))
+            search(Kernel(lambda t: np.where(t > 2, np.nan, np.pi - t),
+                          np.pi))
     # the potential itself rests on no hypothesis
     d = np.array([0.5, 0.5, 2.0, 2.0 * math.pi - 3.5])
     assert_allclose(potential_values(concave, c, 0.5), [-(d ** 2).sum()],
@@ -289,7 +299,7 @@ def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
 
 
 @pytest.mark.parametrize("kernel, failed", [
-    (custom_kernel(np.sin, 0.0, label="sin"), ("non_increasing", "convex")),
+    (Kernel(np.sin, 0.0, label="sin"), ("non_increasing", "convex")),
     (Kernel(lambda t: -(t ** 2), 0.0, label="concave", slope=lambda t: -t),
      ("convex", "slope")),
 ], ids=lambda x: getattr(x, "label", None))
@@ -312,7 +322,7 @@ def test_the_refusal_names_every_failed_check(kernel, failed):
 @pytest.mark.parametrize("kernel", [
     riesz_kernel(0.01), riesz_kernel(2), riesz_kernel(400), log_kernel(),
     power_kernel(0.01), power_kernel(1.0),
-    custom_kernel(lambda t: math.pi - t, math.pi),
+    Kernel(lambda t: math.pi - t, math.pi),
 ], ids=lambda k: k.label)
 def test_arc_search_accepts_kernels_that_meet_the_hypotheses(kernel):
     # riesz:400 overflows to +inf on the check's grid, which the hypotheses
@@ -353,8 +363,8 @@ def test_a_declared_slope_is_followed():
 
 
 def test_linear_kernel_is_convex_but_not_strictly():
-    linear = custom_kernel(lambda t: math.pi - t, value_at_zero=math.pi,
-                           label="linear")
+    linear = Kernel(lambda t: math.pi - t, value_at_zero=math.pi,
+                    label="linear")
     report = validate_kernel(linear)
     assert report.convex.passed
     assert not report.strictly_convex.passed
@@ -368,7 +378,7 @@ def test_linear_kernel_is_convex_but_not_strictly():
     (power_kernel(0.01), True), (power_kernel(0.5), True),
     (power_kernel(1.0), True),
     # straight pieces have no strict midpoint margin, which is no failure
-    (custom_kernel(lambda t: np.maximum(1.0 - t, 0.0), 1.0, label="flat-tail"),
+    (Kernel(lambda t: np.maximum(1.0 - t, 0.0), 1.0, label="flat-tail"),
      False),
 ], ids=lambda x: getattr(x, "label", None))
 def test_strict_convexity_is_measured(kernel, strict):
@@ -409,7 +419,7 @@ def _loop_checks(theta, values):
     lambda t: np.abs(t - 1.0),
 ])
 def test_vectorized_checks_find_the_loops_first_violation(fn):
-    k = custom_kernel(fn, math.inf)
+    k = Kernel(fn, math.inf)
     report = validate_kernel(k)
     theta = np.pi * np.arange(1, 1025) / 1024
     values = k.eval(theta).tolist()

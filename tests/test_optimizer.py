@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from circlepol.circle_config import TWO_PI, config_from_gaps, equally_spaced
-from circlepol.kernels import (custom_kernel, log_kernel, power_kernel,
+from circlepol.kernels import (Kernel, log_kernel, power_kernel,
                                riesz_kernel)
 from circlepol.optimizer import (
     OptimizeOptions,
@@ -139,7 +139,7 @@ def test_every_restart_reaches_equal_spacing_value(kernel):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kernel", [
     power_kernel(1.0),
-    custom_kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, label="pi-t^2"),
+    Kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, label="pi-t^2"),
 ], ids=lambda k: k.label)
 def test_finite_kernels_report_equal_spacing(kernel):
     # These kernels have a finite slope at distance 0, so a gap's minimum
@@ -177,7 +177,7 @@ def test_gradient_at_a_node_leaks_no_warning(s):
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("kernel", [
     log_kernel(), riesz_kernel(2.0), power_kernel(0.5),
-    custom_kernel(lambda t: math.pi - t, math.pi, label="pi-t"),
+    Kernel(lambda t: math.pi - t, math.pi, label="pi-t"),
 ], ids=lambda k: k.label)
 def test_restart_records_do_not_depend_on_the_other_restarts(kernel, seed):
     # the restarts share their passes and engine calls, yet each takes the
@@ -234,7 +234,7 @@ def test_perturbation_deficit_shrinks_with_magnitude():
 def test_perturbation_non_strict_kernel_flagged():
     # pi - t is convex but not strictly convex, so ties are possible and the
     # report must say strictness is not guaranteed.
-    linear = custom_kernel(lambda t: math.pi - t, math.pi, label="pi-t")
+    linear = Kernel(lambda t: math.pi - t, math.pi, label="pi-t")
     report = perturbation_test(linear, 4, magnitude=0.05, trials=20, seed=2)
     assert not report.strict_expected
     # ... but the deficits must still never be meaningfully negative.

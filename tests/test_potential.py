@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (TWO_PI, Configuration, custom_kernel, equally_spaced,
+from circlepol import (TWO_PI, Configuration, Kernel, equally_spaced,
                        log_kernel, minimum_on_arc, polarization, potential,
                        potential_profile, potential_values, power_kernel,
                        riesz_kernel, validate_kernel)
@@ -163,17 +163,22 @@ def test_overflow_to_inf_does_not_warn():
 
 
 @pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel()], ids=lambda k: k.label)
-def test_denormal_distance_is_inf_and_does_not_warn(kernel):
-    # tan(theta/4) underflows to 0 at theta = 5e-324, so the chord is 0 at a
-    # positive distance and f is +inf there, as at the node itself; a gap of
-    # 1e-323 has one probe, 5e-324 from both of its nodes
+def test_denormal_distance_is_the_kernel_at_it_and_does_not_warn(kernel):
+    # the chord is the distance itself there: riesz:2 overflows to +inf and
+    # log is finite.  A gap of 5e-324 has its one probe on a node, and a gap
+    # of 1e-323 has one probe, 5e-324 from both of its nodes
+    with np.errstate(over="ignore"):
+        tiny, one, two, far = kernel.eval(np.array([5e-324, 1.0, 2.0, TWO_PI - 4.0]))
     want = polarization(kernel, Configuration([0.0, 1e-300, 2.0, 4.0])).value
-    for gap in (5e-324, 1e-323):
-        r = polarization(kernel, Configuration([0.0, gap, 2.0, 4.0]))
-        assert r.per_arc_minima[0][2] == math.inf
-        assert r.value == want
-    assert potential_values(kernel, Configuration([0.0, 1.0]), [5e-324])[0] == math.inf
-    assert potential_profile(kernel, Configuration([5e-324, 1.0]), 8)[0, 1] == math.inf
+    r = polarization(kernel, Configuration([0.0, 5e-324, 2.0, 4.0]))
+    assert r.per_arc_minima[0][2] == math.inf
+    assert r.value == want
+    r = polarization(kernel, Configuration([0.0, 1e-323, 2.0, 4.0]))
+    assert r.per_arc_minima[0][:2] == (0, 5e-324)
+    assert r.per_arc_minima[0][2] == pytest.approx(2 * tiny + two + far, rel=1e-15)
+    assert r.value == want
+    assert potential_values(kernel, Configuration([0.0, 1.0]), [5e-324])[0] == tiny + one
+    assert potential_profile(kernel, Configuration([5e-324, 1.0]), 8)[0, 1] == tiny + one
 
 
 def test_per_arc_minima_are_one_read_only_array():
@@ -307,7 +312,7 @@ def _both_paths(kernels):
 
 
 _SMOOTH_KERNELS = [riesz_kernel(2), riesz_kernel(20), log_kernel(), power_kernel(0.5)]
-_HARD_KERNELS = _SMOOTH_KERNELS + [custom_kernel(lambda t: math.pi - t, math.pi, label="pi - t")]
+_HARD_KERNELS = _SMOOTH_KERNELS + [Kernel(lambda t: math.pi - t, math.pi, label="pi - t")]
 
 
 def _hard_configs():
@@ -454,7 +459,7 @@ def test_polarization_equally_spaced_witnesses_every_midpoint(s, n):
 
 def test_nan_kernel_raises():
     # NaN on the validator's grid: the search refuses the kernel up front
-    k = custom_kernel(lambda t: np.where(t > 1, np.nan, 1 / t), math.inf)
+    k = Kernel(lambda t: np.where(t > 1, np.nan, 1 / t), math.inf)
     c = equally_spaced(4)
     with pytest.raises(ValueError, match=r"fails finite \(value nan at theta="):
         polarization(k, c)
@@ -470,7 +475,7 @@ def test_nan_met_only_by_refinement_raises():
     def fn(t):
         return np.where(np.abs(t - math.pi / 3) < 1e-4, np.nan,
                         (2.0 * np.sin(t / 2.0)) ** -2.0)
-    kernel = custom_kernel(fn, math.inf)
+    kernel = Kernel(fn, math.inf)
     assert validate_kernel(kernel).ok
     with pytest.raises(ValueError, match="NaN"):
         minimum_on_arc(kernel, equally_spaced(3), 0.0, 2.0 * math.pi / 3)
@@ -499,7 +504,7 @@ def test_potential_values_refuses_a_non_finite_angle(z):
     def fn(t):
         raise AssertionError("kernel called")
     with pytest.raises(ValueError, match="z must be finite"):
-        potential_values(custom_kernel(fn, math.inf), equally_spaced(3), z)
+        potential_values(Kernel(fn, math.inf), equally_spaced(3), z)
 
 
 def test_nan_met_only_by_the_difference_quotient_raises():
@@ -509,7 +514,7 @@ def test_nan_met_only_by_the_difference_quotient_raises():
         ring = (np.abs(t - math.pi / 2) > 5e-6) & (np.abs(t - math.pi / 2) < 2e-5)
         return np.where(ring, np.nan, (2.0 * np.sin(t / 2.0)) ** -2.0)
     with pytest.raises(ValueError, match="NaN"):
-        minimum_on_arc(custom_kernel(fn, math.inf), equally_spaced(2),
+        minimum_on_arc(Kernel(fn, math.inf), equally_spaced(2),
                        0.0, math.pi)
 
 

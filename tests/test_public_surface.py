@@ -10,7 +10,7 @@ PUBLIC = [
     "Kernel", "OptimizeOptions", "OptimizeResult", "PolarizationResult",
     "RestartRecord", "StrictnessReport", "TWO_PI", "TransportPlan",
     "ValidationReport", "asymptotic_ratio", "check_pair_inequality",
-    "config_from_gaps", "config_from_json", "custom_kernel", "dominant_term",
+    "config_from_gaps", "config_from_json", "dominant_term",
     "energy_equally_spaced", "equally_spaced", "exact_polarization_polynomial",
     "load_config_file", "log_kernel", "maximize_polarization", "min_curve",
     "minimum_on_arc", "perturbation_test", "polarization",

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from circlepol import (Kernel, check_pair_inequality, custom_kernel,
+from circlepol import (Kernel, check_pair_inequality,
                        equally_spaced, log_kernel, min_curve, minimum_on_arc,
                        perturbation_test, polarization, potential_profile,
                        potential_values, power_kernel, riesz_kernel,
@@ -22,8 +22,8 @@ from helpers import random_config
 
 KERNELS = [
     riesz_kernel(2), log_kernel(), power_kernel(0.5), riesz_kernel(8),
-    custom_kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, "(pi-t)^2"),
-    custom_kernel(lambda t: np.maximum(1.0 - t, 0.0), 1.0, "max(1-t,0)"),
+    Kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, "(pi-t)^2"),
+    Kernel(lambda t: np.maximum(1.0 - t, 0.0), 1.0, "max(1-t,0)"),
 ]
 
 # equal spacing and one random configuration at each n

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from circlepol import (TWO_PI, Configuration, InequalityReport, TransportPlan,
-                       check_pair_inequality, config_from_gaps, custom_kernel,
+from circlepol import (TWO_PI, Configuration, InequalityReport, Kernel,
+                       TransportPlan, check_pair_inequality, config_from_gaps,
                        equally_spaced, log_kernel, min_curve, minimum_on_arc,
                        polarization, potential, power_kernel, riesz_kernel,
                        solve_gap_system, solve_transport)
@@ -196,7 +196,7 @@ def _stage_loop(kernel, source, plan, grid):
 
 @pytest.mark.parametrize("kernel", [riesz_kernel(2), riesz_kernel(20), log_kernel(),
                                     power_kernel(0.5),
-                                    custom_kernel(lambda t: math.pi - t, math.pi)],
+                                    Kernel(lambda t: math.pi - t, math.pi)],
                          ids=lambda k: k.label)
 def test_min_curve_matches_the_stage_loop_bit_for_bit(kernel):
     rng = np.random.default_rng(30)
@@ -261,8 +261,8 @@ def test_pair_inequality_strict_case():
 
 
 def test_pair_inequality_linear_kernel_non_strict():
-    linear = custom_kernel(lambda t: math.pi - t, value_at_zero=math.pi,
-                           label="linear")
+    linear = Kernel(lambda t: math.pi - t, value_at_zero=math.pi,
+                    label="linear")
     report = check_pair_inequality(linear, 0.0, math.pi / 2,
                                    math.pi / 8, samples=1000)
     assert report.max_violation <= 1e-12
@@ -320,6 +320,6 @@ def test_pair_inequality_rejects_a_non_finite_angle(z1, z2, name):
 
 def test_pair_inequality_raises_on_a_nan_kernel():
     # NaN past distance 2 would read as no violation, max_violation 0.0
-    kernel = custom_kernel(lambda t: np.where(t > 2, np.nan, np.pi - t), np.pi)
+    kernel = Kernel(lambda t: np.where(t > 2, np.nan, np.pi - t), np.pi)
     with pytest.raises(ValueError, match="^kernel returned NaN$"):
         check_pair_inequality(kernel, 0.0, 1.0, 0.1)
