@@ -10,6 +10,7 @@ of gamma values.
 from __future__ import annotations
 
 import math
+import sys
 
 from .exact_series import _bernoulli
 
@@ -75,8 +76,20 @@ def dominant_term(s: float, n: int) -> float:
 
 
 def asymptotic_ratio(s: float, n: int, kernel_polarization: float) -> float:
-    """Ratio of a supplied polarization value to the leading term."""
+    """Ratio of a supplied polarization value to the leading term.
+
+    For s > 1 with a leading term below ``sys.float_info.min`` it is taken
+    in logs, exp(log(P / (2 zeta(s) (1 - 2**-s))) - s log(n / pi)).  Raises
+    ``ValueError`` when the leading term vanishes (s = 1, n = 1) or that log
+    needs a polarization that is not > 0.
+    """
     dom = dominant_term(s, n)
+    if s > 1.0 + _BOUNDARY_TOL and dom < sys.float_info.min:
+        if not kernel_polarization > 0.0:
+            raise ValueError(f"polarization {kernel_polarization!r} at s={s!r}, "
+                             f"n={n!r} is not > 0; its log ratio is undefined")
+        scaled = kernel_polarization / (2.0 * zeta_real(s) * (1.0 - 2.0 ** -s))
+        return math.exp(math.log(scaled) - s * math.log(n / math.pi))
     if dom == 0.0:
         raise ValueError(
             f"dominant term vanishes at s={s!r}, n={n!r}; ratio undefined")

@@ -16,7 +16,6 @@ from typing import Tuple
 
 import numpy as np
 
-from . import potential
 from .circle_config import TWO_PI, Configuration, _angle_rows, _wrap
 from .kernels import Kernel
 from .potential import _minimize_on_arcs, potential_values
@@ -110,18 +109,6 @@ def solve_transport(source: Configuration, target: Configuration) -> TransportPl
     )
 
 
-def _stages(source: Configuration, plan: TransportPlan,
-            ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The sorted angles of the stages at ``ts``, one row each, and the
-    length of each stage's tracked arc, the gap after the anchor."""
-    if plan.n != source.n:
-        raise ValueError("plan size does not match configuration")
-    j = plan.zero_index
-    gaps = ((1.0 - ts)[:, None] * np.asarray(plan.source_gaps)
-            + ts[:, None] * np.asarray(plan.target_gaps))
-    return _angle_rows(np.roll(gaps, -j, axis=1), source.angles[j]), gaps[:, j]
-
-
 def min_curve(
     kernel: Kernel,
     source: Configuration,
@@ -133,30 +120,27 @@ def min_curve(
     The tracked arc runs from the anchor point to its counterclockwise
     neighbour at each stage.  Returns shape ``(grid, 2)`` rows ``(t, h)``;
     ``h`` is nondecreasing for convex nonincreasing kernels and ends at the
-    polarization of the equally spaced target.  The stages are minimized
-    in one engine call per block of about ``_CHUNK_BUDGET / n`` of them
-    (all of them at small n), each row equal bit for bit to
-    ``minimum_on_arc`` on the stage's configuration: its interpolated gaps,
-    from the anchor on, laid out from the anchor's source angle.  Those
-    angles are cumulative sums of nonnegative gaps, so no node lies inside
-    the tracked arc, and the check ``minimum_on_arc`` makes of a caller's arc
-    is not repeated here.  Raises ``ValueError`` when the plan does not fit
-    ``source`` or its gaps are not a circle's.
+    polarization of the equally spaced target.  A stage is its interpolated
+    gaps, from the anchor on, laid out from the anchor's source angle.  One
+    engine call minimizes all ``grid`` stage rows, O(grid * n) floats, each
+    row equal bit for bit to ``minimum_on_arc`` on its stage.  The angles
+    are cumulative sums of nonnegative gaps, so no node lies inside the
+    tracked arc, and ``minimum_on_arc``'s check of the arc is not repeated.
+    Raises ``ValueError`` when the plan does not fit ``source`` or its gaps
+    are not a circle's.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    if plan.n != source.n:
+        raise ValueError("plan size does not match configuration")
     ts = np.linspace(0.0, 1.0, grid)
-    # a block of stages holds as many angles as a block of engine pairs, so
-    # a fine grid at large n keeps no (grid, n) temporary
-    step = max(1, potential._CHUNK_BUDGET // source.n)
-    values = []
-    for i in range(0, grid, step):
-        # _stages checks the plan's size before its anchor is looked up
-        angles, lengths = _stages(source, plan, ts[i:i + step])
-        anchor = np.full(lengths.size, source.angles[plan.zero_index])
-        values.append(_minimize_on_arcs(kernel, angles, anchor, lengths,
-                                        np.arange(lengths.size))[1])
-    return np.column_stack([ts, np.concatenate(values)])
+    j = plan.zero_index
+    anchor = source.angles[j]
+    gaps = np.outer(1.0 - ts, plan.source_gaps) + np.outer(ts, plan.target_gaps)
+    angles = _angle_rows(np.roll(gaps, -j, axis=1), anchor)
+    _, values = _minimize_on_arcs(kernel, angles, np.full(grid, anchor),
+                                  gaps[:, j], np.arange(grid))
+    return np.column_stack([ts, values])
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,9 +150,9 @@ class InequalityReport:
     Over the closed arc between the original pair the two-point potential
     must not increase under the spread; over the (shrunk) complementary arc
     it must not decrease.  Margins are the worst slack observed in the
-    expected direction, ``inf`` between a coincident pair; violations,
-    derived from them, are the worst overshoot the wrong way (0 when the
-    inequality holds everywhere).
+    expected direction, ``inf`` on an arc with no sample of known sign (as
+    between a coincident pair); violations, derived from them, are the worst
+    overshoot the wrong way (0 when the inequality holds everywhere).
     """
 
     z1: float
@@ -202,7 +186,8 @@ def check_pair_inequality(
     """Compare the two-point potential before and after an ``eps`` spread.
 
     ``z1`` moves clockwise and ``z2`` counterclockwise.  A coincident pair
-    has an empty in-between arc (only the complement is sampled).  Raises
+    has an empty in-between arc (only the complement is sampled).  A sample
+    where both potentials are ``inf`` has no sign and is left out.  Raises
     ``ValueError`` on a non-finite angle or an ``eps`` outside (0, half the
     complement), and when the kernel yields NaN.
     """
@@ -224,9 +209,10 @@ def check_pair_inequality(
 
     def worst_margin(start, length, sign):
         zs = (start + length * np.linspace(0.0, 1.0, samples)) % TWO_PI
-        gap = sign * (potential_values(kernel, moved, zs)
-                      - potential_values(kernel, original, zs))
-        return float(gap.min())
+        with np.errstate(invalid="ignore"):  # inf - inf: no sign, left out
+            gap = sign * (potential_values(kernel, moved, zs)
+                          - potential_values(kernel, original, zs))
+        return float(gap[~np.isnan(gap)].min(initial=math.inf))
 
     # complement after the move: from the moved z2 to the moved z1
     comp_margin = worst_margin(z2 + eps, complement_len - 2.0 * eps, +1.0)

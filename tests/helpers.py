@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from circlepol import (TWO_PI, Configuration, config_from_gaps, potential_values,
-                       sinc_power_coefficients, transport)
+                       sinc_power_coefficients)
 
 
 def random_config(rng, n, min_sep=0.0, rotate=True):
@@ -18,10 +18,12 @@ def random_config(rng, n, min_sep=0.0, rotate=True):
 
 
 def homotopy_stage(source, plan, t):
-    """The configuration at stage ``t`` of ``plan``'s homotopy, built by the
-    stage builder that ``min_curve`` uses."""
-    angles, _ = transport._stages(source, plan, np.array([float(t)]))
-    return Configuration(angles[0])
+    """The configuration at stage ``t`` of ``plan``'s homotopy, built as
+    ``min_curve`` builds each stage: the interpolated gaps, from the anchor
+    on, laid out from the anchor's source angle."""
+    j = plan.zero_index
+    gaps = (1.0 - t) * np.asarray(plan.source_gaps) + t * np.asarray(plan.target_gaps)
+    return config_from_gaps(np.roll(gaps, -j), anchor=source.angles[j])
 
 
 def dense_scan_minimum(kernel, config, resolution=1_000_000):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -238,3 +239,33 @@ def test_asymptotic_ratio_exact_polynomial_exponent_four():
 def test_asymptotic_ratio_rejects_vanishing_dominant_term():
     with pytest.raises(ValueError):
         asymptotic_ratio(1.0, 1, 0.7)
+
+
+@pytest.mark.parametrize("s, n", [(640.0, 1), (700.0, 1), (1000.0, 1), (1600.0, 2)])
+def test_asymptotic_ratio_below_the_normal_range_matches_mpmath(s, n):
+    # the leading term (n / pi)**s is subnormal or underflows to 0; the
+    # polarization 2**-s * n is a normal float, and so is the ratio
+    mpmath = pytest.importorskip("mpmath")
+    assert dominant_term(s, n) < sys.float_info.min
+    value = polarization(riesz_kernel(s), equally_spaced(n)).value
+    with mpmath.workdps(50):
+        exp = mpmath.mpf(s)
+        exact = mpmath.mpf(value) / (2 * mpmath.zeta(exp) * (1 - mpmath.power(2, -exp))
+                                     * mpmath.power(n / mpmath.pi, exp))
+        error = abs((asymptotic_ratio(s, n, value) - exact) / exact)
+    assert error <= 1e-12
+
+
+def test_asymptotic_ratio_in_the_normal_range_is_the_plain_quotient():
+    # (1 / pi)**600 is 2.6e-299, a normal float
+    value = polarization(riesz_kernel(600.0), equally_spaced(1)).value
+    assert dominant_term(600.0, 1) >= sys.float_info.min
+    assert asymptotic_ratio(600.0, 1, value) == value / dominant_term(600.0, 1)
+
+
+def test_asymptotic_ratio_names_a_polarization_that_underflowed():
+    # 2**-1100 underflows, so the polarization at one point is 0.0
+    value = polarization(riesz_kernel(1100.0), equally_spaced(1)).value
+    assert value == 0.0
+    with pytest.raises(ValueError, match="polarization 0.0"):
+        asymptotic_ratio(1100.0, 1, value)

@@ -259,6 +259,14 @@ def test_energy_csv(capsys):
     assert math.isclose(float(row3[4]), 9.0 / 4.0, rel_tol=1e-9)
 
 
+def test_asympt_ratio_where_the_leading_term_underflows(capsys):
+    # (1 / pi)**1000 is below the float range; the ratio is 6.6e195
+    code, out, _ = run(capsys, "asympt", "--s", "1000", "--n", "1")
+    assert code == 0
+    ratio = float(out.strip().splitlines()[1].split(",")[3])
+    assert math.isfinite(ratio) and ratio > 1e195
+
+
 @pytest.mark.parametrize("command", ["asympt", "energy"])
 @pytest.mark.parametrize("s", ["inf", "-1", "0", "nan", "abc"])
 def test_bad_exponent_is_usage_error(capsys, command, s):
@@ -299,6 +307,17 @@ def test_check_passes_for_convex_kernel(capsys):
         payload = json.loads(line)
         assert payload["max_violation"] <= 1e-12
         assert payload["strict_expected"] is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_where_both_potentials_overflow(capsys):
+    # samples next to a node are inf before and after the spread: left out,
+    # so no NaN margin and no violation read from one
+    code, out, err = run(capsys, "check", "--kernel", "riesz:200",
+                         "--pair", "0,3,0.01")
+    assert (code, err) == (0, "")
+    assert "NaN" not in out
+    assert json.loads(out)["max_violation"] == 0.0
 
 
 def test_check_failing_pair_prints_no_earlier_report(capsys):

@@ -12,7 +12,7 @@ from circlepol import (TWO_PI, Configuration, InequalityReport, Kernel,
                        TransportPlan, check_pair_inequality, config_from_gaps,
                        equally_spaced, log_kernel, min_curve, minimum_on_arc,
                        polarization, potential, power_kernel, riesz_kernel,
-                       solve_gap_system, solve_transport)
+                       solve_gap_system, solve_transport, transport)
 from helpers import cyclic_allclose, homotopy_stage, random_config
 
 
@@ -200,7 +200,7 @@ def _stage_loop(kernel, source, plan, grid):
                          ids=lambda k: k.label)
 def test_min_curve_matches_the_stage_loop_bit_for_bit(kernel):
     rng = np.random.default_rng(30)
-    for n, grid in ((1, 3), (2, 2), (3, 101), (8, 17), (25, 40)):
+    for n, grid in ((1, 3), (2, 2), (3, 101), (8, 17), (25, 40), (64, 101), (300, 21)):
         src = random_config(rng, n)
         for target in (equally_spaced(n), random_config(rng, n)):
             plan = solve_transport(src, target)
@@ -210,7 +210,8 @@ def test_min_curve_matches_the_stage_loop_bit_for_bit(kernel):
 
 @pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel()], ids=lambda k: k.label)
 def test_min_curve_does_not_depend_on_its_stage_blocks(kernel, monkeypatch):
-    # a budget of 1 or 7 pairs splits the stages into blocks of 1 or a few
+    # a budget of 1 or 7 pairs splits each engine pass over the stages into
+    # blocks of one or a few probes
     rng = np.random.default_rng(32)
     for n, grid in ((2, 9), (3, 101), (8, 17)):
         src = random_config(rng, n)
@@ -221,6 +222,22 @@ def test_min_curve_does_not_depend_on_its_stage_blocks(kernel, monkeypatch):
             curves.append(min_curve(kernel, src, plan, grid).tobytes())
         assert curves[0] == curves[1] == curves[2]
         assert curves[2] == _stage_loop(kernel, src, plan, grid).tobytes()
+
+
+def test_min_curve_is_one_engine_call(monkeypatch):
+    # however many stages and points, the engine splits its own passes
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return potential._minimize_on_arcs(*args)
+
+    monkeypatch.setattr(transport, "_minimize_on_arcs", counted)
+    rng = np.random.default_rng(33)
+    src = random_config(rng, 300)
+    rows = min_curve(log_kernel(), src, solve_transport(src, equally_spaced(300)), 101)
+    assert calls == [(101, 300)]
+    assert rows.shape == (101, 2)
 
 
 def test_min_curve_rejects_a_plan_of_the_wrong_size():
@@ -316,6 +333,34 @@ def test_pair_inequality_eps_validation():
 def test_pair_inequality_rejects_a_non_finite_angle(z1, z2, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         check_pair_inequality(riesz_kernel(2), z1, z2, 0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [200, 400, 1000])
+def test_pair_inequality_leaves_out_samples_where_both_potentials_overflow(s):
+    # next to a node both potentials overflow to inf, and inf - inf has no
+    # sign: such a sample is left out, not read as NaN or as no violation
+    kernel = riesz_kernel(s)
+    report = check_pair_inequality(kernel, 0.0, 3.0, 0.01)
+    margins = (report.between_min_margin, report.complement_min_margin)
+    assert all(m > 0.0 for m in margins), margins
+    assert report.max_violation == 0.0
+    # a close pair: every sample between it overflows both ways
+    close = check_pair_inequality(kernel, 0.0, 0.001, 1e-6)
+    assert close.between_min_margin == math.inf
+    assert not math.isnan(close.complement_min_margin)
+
+
+def test_pair_inequality_margin_is_the_least_signed_sample():
+    # every sample of known sign counts, bit for bit, the rest is left out
+    kernel = riesz_kernel(200)
+    report = check_pair_inequality(kernel, 0.0, 3.0, 0.01, samples=1000)
+    zs = (0.0 + 3.0 * np.linspace(0.0, 1.0, 1000)) % TWO_PI
+    after = potential.potential_values(kernel, Configuration((-0.01, 3.01)), zs)
+    before = potential.potential_values(kernel, Configuration((0.0, 3.0)), zs)
+    signed = np.isfinite(after) | np.isfinite(before)
+    assert 0 < signed.sum() < zs.size
+    assert report.between_min_margin == float((before[signed] - after[signed]).min())
 
 
 def test_pair_inequality_raises_on_a_nan_kernel():
