@@ -19,7 +19,7 @@ import numpy as np
 
 from .circle_config import TWO_PI, Configuration, _angle_rows, equally_spaced
 from .kernels import Kernel
-from .potential import _polarize_rows, _rounding, _slope_terms
+from .potential import _polarize_rows, _rounding, _row_sums, _slope_terms
 
 __all__ = [
     "OptimizeOptions",
@@ -168,15 +168,19 @@ def _steps(kernel: Kernel, angles: np.ndarray, results: list, values: list,
     # from a gap's minimizer gives -inf * 0, as in the engine; the row then
     # is not finite and is left out below
     with np.errstate(invalid="ignore", over="ignore"):
-        grads = -_slope_terms(kernel, angles[np.repeat(which, sizes), 1:], z)
+        grads = _row_sums(_gradient_rows, kernel, angles[:, 1:], z,
+                          np.repeat(which, sizes)).T
     n = angles.shape[1]
     out = []
     for r, a, grad in zip(which, arcs, np.split(grads, np.cumsum(sizes)[:-1])):
         m, value = a["value"], values[r]
-        # unit rows: else lstsq's cutoff drops every equation but the one of
-        # a tiny gap, whose m_j and slopes are huge under a singular kernel
+        # row-major, whatever the layout of grad: the norm sums each row in
+        # memory order.  Unit rows: else lstsq's cutoff drops every equation
+        # but the one of a tiny gap, whose m_j and slopes are huge under a
+        # singular kernel
+        system = np.full((m.size, n), -1.0)
+        system[:, :-1] = grad
         with np.errstate(over="ignore"):
-            system = np.column_stack([grad, -np.ones(m.size)])
             scale = np.linalg.norm(system, axis=1)
         # a row past the float range, in m_j, the gradient or its norm,
         # belongs to a tiny gap whose minimum is far above P: it is left out
@@ -188,6 +192,12 @@ def _steps(kernel: Kernel, angles: np.ndarray, results: list, values: list,
                                    -m[rows] / scale[rows], rcond=None)
         out.append(None if step[-1] - value <= _rounding(n, value) else step[:-1])
     return out
+
+
+def _gradient_rows(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """grad m_j at each gap minimizer ``z`` (columns) in the positions of
+    ``nodes``, the angles but the pinned first: the negated slope terms."""
+    return -_slope_terms(kernel, nodes, z).T
 
 
 def maximize_polarization(

@@ -93,7 +93,8 @@ def _row_sums(sums, kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
     depends on the block size or on which probes share a block.
     """
     flat = z.reshape(-1)
-    step = max(1, _CHUNK_BUDGET // nodes.shape[1])
+    # rows of no nodes (the optimizer's at n = 1) make one block
+    step = max(1, _CHUNK_BUDGET // max(1, nodes.shape[1]))
     # no probes make one empty block
     out = np.concatenate([
         sums(kernel, nodes[owner[i:i + step]], flat[i:i + step])
