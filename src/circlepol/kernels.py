@@ -99,24 +99,27 @@ def _off_zero(fn, theta, at_zero):
     """``fn`` at each ``theta`` >= 0, and ``at_zero`` where ``theta`` is 0.
 
     Where no distance is 0, as in every pass but one that probes a node, an
-    array ``fn`` returns is passed on, with no mask and no copy.
+    array ``fn`` returns is passed on, with no mask and no copy.  A value or
+    slope past the float range is rightly infinite: that overflow, or a
+    division by zero, does not warn.
     """
     theta = np.asarray(theta, dtype=float)
     value = None
-    if theta.min(initial=INF) > 0.0:
-        value = fn(theta)
-        if (isinstance(value, np.ndarray) and value.ndim and value is not theta
-                and value.shape == theta.shape and value.dtype == float):
-            return value
-    out = np.empty(theta.shape, dtype=float)
-    zero = theta == 0.0
-    if zero.any():
-        out[zero] = at_zero
-        nonzero = ~zero
-        if nonzero.any():
-            out[nonzero] = fn(theta[nonzero])
-    else:
-        out[...] = fn(theta) if value is None else value
+    with np.errstate(over="ignore", divide="ignore"):
+        if theta.min(initial=INF) > 0.0:
+            value = fn(theta)
+            if (isinstance(value, np.ndarray) and value.ndim and value is not theta
+                    and value.shape == theta.shape and value.dtype == float):
+                return value
+        out = np.empty(theta.shape, dtype=float)
+        zero = theta == 0.0
+        if zero.any():
+            out[zero] = at_zero
+            nonzero = ~zero
+            if nonzero.any():
+                out[nonzero] = fn(theta[nonzero])
+        else:
+            out[...] = fn(theta) if value is None else value
     return out[()]
 
 
@@ -293,9 +296,7 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
     same report wherever its values stay normal.
     """
     theta = np.pi * np.arange(1, _GRID_SIZE + 1) / _GRID_SIZE
-    # a value past the float range is +inf, which the hypotheses allow
-    with np.errstate(over="ignore"):
-        v = kernel.eval(theta)
+    v = kernel.eval(theta)  # +inf past the float range, as the hypotheses allow
     # uniform grid: theta[i+1] is the midpoint of (theta[i], theta[i+2])
     a, mid, b = v[:-2], v[1:-1], v[2:]
     # each check is a list of (bad mask, witness span, detail); a detail is

@@ -164,10 +164,9 @@ def _steps(kernel: Kernel, angles: np.ndarray, results: list, values: list,
     arcs = [results[r].arcs for r in which]
     sizes = [a.size for a in arcs]
     z = np.concatenate([a["angle"] for a in arcs])
-    # a value or slope past the float range is infinite, and a node one ulp
-    # from a gap's minimizer gives -inf * 0, as in the engine; the row then
-    # is not finite and is left out below
-    with np.errstate(invalid="ignore", over="ignore"):
+    # a node one ulp from a gap's minimizer gives -inf * 0, as in the engine;
+    # the row then is not finite and is left out below
+    with np.errstate(invalid="ignore"):
         grads = _row_sums(_gradient_rows, kernel, angles[:, 1:], z,
                           np.repeat(which, sizes)).T
     n = angles.shape[1]

@@ -71,9 +71,8 @@ def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
 def _values(kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
             owner: np.ndarray) -> np.ndarray:
     # the one sum of potentials, so the one place a NaN kernel value is
-    # refused.  A kernel maps to [0, inf], so a value past the float range
-    # is +inf, as is one at a distance too small for the chord to be nonzero
-    with np.errstate(divide="ignore", over="ignore"):
+    # refused.  A sum past the float range is +inf
+    with np.errstate(over="ignore"):
         values = _row_sums(_potential_sums, kernel, nodes, z, owner)
     if np.isnan(values).any():
         raise ValueError("kernel returned NaN")
@@ -236,16 +235,17 @@ def _minimize_on_arcs(
     s_lo, s_hi = np.full(m, -np.inf), np.full(m, np.inf)
     hi_moved = np.zeros(m, dtype=bool)  # which end the last probe replaced
     certified = lengths * 2.0 ** -_CERTIFIED_BITS
-    for k in range(2 * _CERTIFIED_BITS + 1):
-        mid = 0.5 * (lo + hi)
-        live = np.nonzero((hi - lo > certified) & (lo < mid) & (mid < hi))[0]
-        if live.size == 0:
-            break
-        a, b, fa, fb = lo[live], hi[live], s_lo[live], s_hi[live]
-        # next to both ends of a tiny arc the kernel or its slope can
-        # overflow, or meet a zero chord within a denormal of a node;
-        # inf - inf gives no direction, so that arc stops
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # next to both ends of a tiny arc the kernel or its slope can overflow,
+    # or meet a zero chord within a denormal of a node; inf - inf gives no
+    # direction, so that arc stops.  The state is entered once per call,
+    # since entering it costs as much as a small array operation
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(2 * _CERTIFIED_BITS + 1):
+            mid = 0.5 * (lo + hi)
+            live = np.nonzero((hi - lo > certified) & (lo < mid) & (mid < hi))[0]
+            if live.size == 0:
+                break
+            a, b, fa, fb = lo[live], hi[live], s_lo[live], s_hi[live]
             p = np.clip(b - fb * ((b - a) / (fb - fa)),
                         np.nextafter(a, b), np.nextafter(b, a))
             secant = (np.isfinite(fa) & np.isfinite(fb)
@@ -262,9 +262,9 @@ def _minimize_on_arcs(
                               np.where(ratio > 0.0, ratio, 0.5), 1.0)
             s_lo[live] = np.where(up, fa * shrink, slope)
             s_hi[live] = np.where(up, slope, fb * shrink)
-        lo[live] = np.where(up & ~flat, a, p)
-        hi[live] = np.where(up | flat, p, b)
-        hi_moved[live] = up
+            lo[live] = np.where(up & ~flat, a, p)
+            hi[live] = np.where(up | flat, p, b)
+            hi_moved[live] = up
     # the midpoint of a bracket one float wide rounds onto an end, which may
     # be a node: keep it inside wherever the arc has an interior float
     z = np.clip(0.5 * (lo + hi), np.nextafter(starts, ends),

@@ -29,9 +29,6 @@ __all__ = [
     "check_pair_inequality",
 ]
 
-# components at most this far from 0 count as zero when picking the anchor
-_ZERO_TOL = 1e-12
-
 # tolerance for the solvability condition sum(beta) = 0
 _BALANCE_TOL = 1e-10
 
@@ -54,11 +51,9 @@ class TransportPlan:
 
     @property
     def zero_index(self) -> int:
-        """Smallest index whose component is zero (the homotopy anchor)."""
-        for k, d in enumerate(self.deltas):
-            if d <= _ZERO_TOL:
-                return k
-        raise AssertionError("no zero component in a canonical plan")
+        """Smallest index whose component is exactly zero (the homotopy
+        anchor); :func:`solve_gap_system` leaves one, as ``d - min(d)``."""
+        return self.deltas.index(0.0)
 
     def to_dict(self) -> dict:
         return {

@@ -67,7 +67,16 @@ def test_singular_kernels_return_inf_at_zero():
     assert log_kernel().eval(0.0) == math.inf
 
 
-def test_eval_vectorized_matches_scalar():
+@pytest.mark.parametrize("call, expected", [
+    (lambda: riesz_kernel(400).eval(1e-3), math.inf),
+    (lambda: log_kernel().derivative(1e-310), -math.inf),
+    (lambda: riesz_kernel(2).derivative(1e-200), -math.inf),
+    (lambda: riesz_kernel(400).eval(np.array([1e-3, 1.0]))[0], math.inf),
+], ids=["riesz400-eval", "log-derivative", "riesz2-derivative", "array"])
+def test_values_past_the_float_range_are_inf_without_a_warning(call, expected):
+    # the suite turns a RuntimeWarning into an error, so an overflow
+    # warning from the power or the division would fail here
+    assert call() == expected
     k = riesz_kernel(1.5)
     thetas = np.array([[0.0, 0.3], [math.pi, 1.2]])
     got = k.eval(thetas)

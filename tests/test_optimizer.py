@@ -204,6 +204,23 @@ def test_results_keep_little_memory():
     assert held / len(results) <= 1500
 
 
+def test_gradient_rows_run_in_blocks():
+    # one step of 8 restarts at n = 256: the gradient rows are 8 x 256 x 255
+    # floats, 4.2 MB, and are built twice at most (the blocks, then their
+    # concatenation); an unblocked slope pass kept about 32 MB of
+    # temporaries
+    kernel, opts = log_kernel(), OptimizeOptions(max_iters=1)
+    maximize_polarization(kernel, 256, opts)  # the validation report, once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        maximize_polarization(kernel, 256, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # perturbation_test
 # ---------------------------------------------------------------------------

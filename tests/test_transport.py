@@ -47,6 +47,18 @@ def test_worked_three_point_plan():
     assert not hasattr(plan, "__dict__")
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_the_anchor_is_the_exact_zero(seed):
+    # gaps within 1e-13 of equal: components of that size sit next to the
+    # exact zero that solve_gap_system leaves, and the anchor must be it
+    gaps = TWO_PI / 8 + np.random.default_rng(seed).uniform(-1e-13, 1e-13, 8)
+    gaps += (TWO_PI - gaps.sum()) / 8
+    plan = solve_transport(config_from_gaps(gaps), equally_spaced(8))
+    j = plan.zero_index
+    assert plan.deltas[j] == 0.0
+    assert min(plan.deltas[:j], default=math.inf) > 0.0
+
+
 def test_plan_invariants_on_random_pairs():
     rng = np.random.default_rng(22)
     for _ in range(100):
