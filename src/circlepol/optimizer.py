@@ -6,7 +6,8 @@ first point at angle 0 and takes Newton steps on that max-min optimality
 condition (Demyanov and Malozemov, *Introduction to Minimax*, 1974): the
 gradient of each m_j follows from its minimizer by Danskin's theorem, and a
 least-squares solve equalizes the linearized m_j.  Restart 0 always starts
-from equal gaps, so the known optimum is never lost to a bad restart.  A
+from ``equally_spaced(n)``, so the known optimum is never lost to a bad
+restart, nor to the rounding of a cumulative sum of equal gaps.  A
 perturbation harness checks that equal spacing is a strict maximizer.
 """
 
@@ -99,10 +100,10 @@ class OptimizeResult:
 _HALVINGS = 30
 
 
-def _ascend(kernel: Kernel, starts: np.ndarray,
+def _ascend(kernel: Kernel, angles: np.ndarray,
             max_iters: int) -> Tuple[np.ndarray, List[float], List[int]]:
-    """Raise P = min_j m_j from each gap vector row of ``starts`` by
-    equalizing the m_j.
+    """Raise P = min_j m_j from each row of sorted angles ``angles``, the
+    first 0, by equalizing the m_j; the rows are updated in place.
 
     m_j is the minimum of the potential on gap j, attained at z_j.  By
     Danskin's theorem dm_j/dx_k = -f'(d(z_j, x_k)) sign(z_j - x_k), with the
@@ -121,7 +122,6 @@ def _ascend(kernel: Kernel, starts: np.ndarray,
     alone.  Returns the final angle rows, the values P and the numbers of
     accepted steps.
     """
-    angles = _angle_rows(starts, 0.0)
     results = _polarize_rows(kernel, angles)
     values = [r.value for r in results]
     iters = [0] * len(results)
@@ -206,8 +206,9 @@ def maximize_polarization(
 ) -> OptimizeResult:
     """Best polarization over n-point configurations from restarted ascents.
 
-    Restart 0 starts from equal gaps, the others from gap vectors drawn from
-    a symmetric Dirichlet with the seeded generator.  Deterministic for fixed
+    Restart 0 starts from ``equally_spaced(n)``, whose start gaps are
+    recorded as 2 pi / n, the others from gap vectors drawn from a
+    symmetric Dirichlet with the seeded generator.  Deterministic for fixed
     inputs; ties go to the earlier restart.
     """
     if n < 1:
@@ -216,7 +217,9 @@ def maximize_polarization(
     rng = np.random.default_rng(opts.seed)
     starts = np.array([np.full(n, TWO_PI / n)] + [
         rng.dirichlet(np.ones(n)) * TWO_PI for _ in range(opts.restarts - 1)])
-    angles, values, iters = _ascend(kernel, starts, opts.max_iters)
+    angles = _angle_rows(starts, 0.0)
+    angles[0] = equally_spaced(n).angle_array
+    angles, values, iters = _ascend(kernel, angles, opts.max_iters)
     best = int(np.argmax(values))  # the first of equal values
     return OptimizeResult(
         best_config=Configuration(angles[best]),

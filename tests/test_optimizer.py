@@ -65,6 +65,16 @@ def test_maximize_restart_zero_never_beaten():
         assert record.value <= equal_start_value + 1e-9
 
 
+@pytest.mark.parametrize("n", [64, 256])
+def test_restart_zero_is_equal_spacing_to_the_bit(n):
+    # a cumulative sum of equal gaps rounds away from 2 pi k / n, and its
+    # polarization fell 1e-12 relative below equal spacing's at n = 256
+    kernel = riesz_kernel(2.0)
+    result = maximize_polarization(kernel, n, OptimizeOptions(restarts=1))
+    assert result.best_value == polarization(kernel, equally_spaced(n)).value
+    assert result.per_restart[0].start_gaps == (TWO_PI / n,) * n
+
+
 def test_maximize_records_every_restart():
     opts = OptimizeOptions(restarts=5, max_iters=200, seed=9)
     result = maximize_polarization(power_kernel(0.5), 3, opts)
