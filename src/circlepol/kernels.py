@@ -95,31 +95,30 @@ class Kernel:
         return self._report.strictly_convex.passed
 
 
+@np.errstate(over="ignore", divide="ignore")  # half the cost of a with block
 def _off_zero(fn, theta, at_zero):
     """``fn`` at each ``theta`` >= 0, and ``at_zero`` where ``theta`` is 0.
 
     Where no distance is 0, as in every pass but one that probes a node, an
-    array ``fn`` returns is passed on, with no mask and no copy.  A value or
-    slope past the float range is rightly infinite: that overflow, or a
-    division by zero, does not warn.
+    array ``fn`` returns is passed on, with no mask and no copy.  A value
+    past the float range is +-inf, rightly, and warns on nothing.
     """
     theta = np.asarray(theta, dtype=float)
     value = None
-    with np.errstate(over="ignore", divide="ignore"):
-        if theta.min(initial=INF) > 0.0:
-            value = fn(theta)
-            if (isinstance(value, np.ndarray) and value.ndim and value is not theta
-                    and value.shape == theta.shape and value.dtype == float):
-                return value
-        out = np.empty(theta.shape, dtype=float)
-        zero = theta == 0.0
-        if zero.any():
-            out[zero] = at_zero
-            nonzero = ~zero
-            if nonzero.any():
-                out[nonzero] = fn(theta[nonzero])
-        else:
-            out[...] = fn(theta) if value is None else value
+    if theta.min(initial=INF) > 0.0:
+        value = fn(theta)
+        if (isinstance(value, np.ndarray) and value.ndim and value is not theta
+                and value.shape == theta.shape and value.dtype == float):
+            return value
+    out = np.empty(theta.shape, dtype=float)
+    zero = theta == 0.0
+    if zero.any():
+        out[zero] = at_zero
+        nonzero = ~zero
+        if nonzero.any():
+            out[nonzero] = fn(theta[nonzero])
+    else:
+        out[...] = fn(theta) if value is None else value
     return out[()]
 
 

@@ -6,8 +6,7 @@ first point at angle 0 and takes Newton steps on that max-min optimality
 condition (Demyanov and Malozemov, *Introduction to Minimax*, 1974): the
 gradient of each m_j follows from its minimizer by Danskin's theorem, and a
 least-squares solve equalizes the linearized m_j.  Restart 0 always starts
-from ``equally_spaced(n)``, so the known optimum is never lost to a bad
-restart, nor to the rounding of a cumulative sum of equal gaps.  A
+from ``equally_spaced(n)``, so the known optimum is never lost.  A
 perturbation harness checks that equal spacing is a strict maximizer.
 """
 
@@ -164,8 +163,7 @@ def _steps(kernel: Kernel, angles: np.ndarray, results: list, values: list,
     arcs = [results[r].arcs for r in which]
     sizes = [a.size for a in arcs]
     z = np.concatenate([a["angle"] for a in arcs])
-    # a node one ulp from a gap's minimizer gives -inf * 0, as in the engine;
-    # the row then is not finite and is left out below
+    # a node one ulp from a minimizer gives -inf * 0: a NaN row, left out below
     with np.errstate(invalid="ignore"):
         grads = _row_sums(_gradient_rows, kernel, angles[:, 1:], z,
                           np.repeat(which, sizes)).T
@@ -173,10 +171,9 @@ def _steps(kernel: Kernel, angles: np.ndarray, results: list, values: list,
     out = []
     for r, a, grad in zip(which, arcs, np.split(grads, np.cumsum(sizes)[:-1])):
         m, value = a["value"], values[r]
-        # row-major, whatever the layout of grad: the norm sums each row in
-        # memory order.  Unit rows: else lstsq's cutoff drops every equation
-        # but the one of a tiny gap, whose m_j and slopes are huge under a
-        # singular kernel
+        # unit rows: else lstsq's cutoff drops every equation but the one of
+        # a tiny gap, whose m_j and slopes are huge under a singular kernel.
+        # Row-major, whatever grad's layout: the norm sums in memory order
         system = np.full((m.size, n), -1.0)
         system[:, :-1] = grad
         with np.errstate(over="ignore"):
@@ -194,8 +191,7 @@ def _steps(kernel: Kernel, angles: np.ndarray, results: list, values: list,
 
 
 def _gradient_rows(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """grad m_j at each gap minimizer ``z`` (columns) in the positions of
-    ``nodes``, the angles but the pinned first: the negated slope terms."""
+    """grad m_j, one column per gap minimizer ``z``: the negated slope terms."""
     return -_slope_terms(kernel, nodes, z).T
 
 
@@ -206,10 +202,9 @@ def maximize_polarization(
 ) -> OptimizeResult:
     """Best polarization over n-point configurations from restarted ascents.
 
-    Restart 0 starts from ``equally_spaced(n)``, whose start gaps are
-    recorded as 2 pi / n, the others from gap vectors drawn from a
-    symmetric Dirichlet with the seeded generator.  Deterministic for fixed
-    inputs; ties go to the earlier restart.
+    Restart 0 starts from ``equally_spaced(n)``, the others from gap vectors
+    drawn from a symmetric Dirichlet with the seeded generator.  Deterministic
+    for fixed inputs; ties go to the earlier restart.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n!r}")

@@ -92,9 +92,8 @@ def _row_sums(sums, kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
     depends on the block size or on which probes share a block.
     """
     flat = z.reshape(-1)
-    # rows of no nodes (the optimizer's at n = 1) make one block
+    # no probes, or rows of no nodes (the optimizer's at n = 1), make one block
     step = max(1, _CHUNK_BUDGET // max(1, nodes.shape[1]))
-    # no probes make one empty block
     out = np.concatenate([
         sums(kernel, nodes[owner[i:i + step]], flat[i:i + step])
         for i in range(0, flat.size or 1, step)], axis=-1)
@@ -235,10 +234,9 @@ def _minimize_on_arcs(
     s_lo, s_hi = np.full(m, -np.inf), np.full(m, np.inf)
     hi_moved = np.zeros(m, dtype=bool)  # which end the last probe replaced
     certified = lengths * 2.0 ** -_CERTIFIED_BITS
-    # next to both ends of a tiny arc the kernel or its slope can overflow,
-    # or meet a zero chord within a denormal of a node; inf - inf gives no
-    # direction, so that arc stops.  The state is entered once per call,
-    # since entering it costs as much as a small array operation
+    # next to both ends of a tiny arc the kernel or its slope can overflow;
+    # inf - inf gives no direction, so that arc stops.  Entered once per
+    # call, not per iteration: entering it costs a small array operation
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(2 * _CERTIFIED_BITS + 1):
             mid = 0.5 * (lo + hi)

@@ -51,8 +51,7 @@ class TransportPlan:
 
     @property
     def zero_index(self) -> int:
-        """Smallest index whose component is exactly zero (the homotopy
-        anchor); :func:`solve_gap_system` leaves one, as ``d - min(d)``."""
+        """The homotopy anchor: the first exact 0, as ``d - min(d)`` leaves one."""
         return self.deltas.index(0.0)
 
     def to_dict(self) -> dict:
