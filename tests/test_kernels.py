@@ -77,6 +77,9 @@ def test_values_past_the_float_range_are_inf_without_a_warning(call, expected):
     # the suite turns a RuntimeWarning into an error, so an overflow
     # warning from the power or the division would fail here
     assert call() == expected
+
+
+def test_eval_vectorized_matches_scalar():
     k = riesz_kernel(1.5)
     thetas = np.array([[0.0, 0.3], [math.pi, 1.2]])
     got = k.eval(thetas)
