@@ -89,14 +89,20 @@ def _row_sums(sums, kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
     gathers the rows of its own probes.  ``sums`` returns one sum per probe
     along its last axis; leading axes that stack several kinds of sums
     carry through to the result.  Each row is summed whole, so no result
-    depends on the block size or on which probes share a block.
+    depends on the block size or on which probes share a block.  A lone
+    block is the result as it is; more are written into one output, so
+    only it and one block are held at once.
     """
     flat = z.reshape(-1)
     # no probes, or rows of no nodes (the optimizer's at n = 1), make one block
     step = max(1, _CHUNK_BUDGET // max(1, nodes.shape[1]))
-    out = np.concatenate([
-        sums(kernel, nodes[owner[i:i + step]], flat[i:i + step])
-        for i in range(0, flat.size or 1, step)], axis=-1)
+    out = sums(kernel, nodes[owner[:step]], flat[:step])
+    if flat.size > step:
+        first, out = out, np.empty(out.shape[:-1] + flat.shape, dtype=out.dtype)
+        out[..., :step] = first
+        for i in range(step, flat.size, step):
+            out[..., i:i + step] = sums(kernel, nodes[owner[i:i + step]],
+                                        flat[i:i + step])
     return out.reshape(out.shape[:-1] + z.shape)
 
 
