@@ -3,8 +3,8 @@
 A kernel is a non-increasing convex function of geodesic distance on
 [0, pi], extended-real-valued at 0.  The kernels shipped here, inverse-power
 (Riesz), logarithmic and negated power, are each a function of the chord
-``2 sin(theta/2)`` with its exact derivative; any other function of the
-distance is wrapped as ``Kernel(fn, value_at_zero)``, and
+``2 sin(theta/2)`` with its exact first and second derivatives; any other
+function of the distance is wrapped as ``Kernel(fn, value_at_zero)``, and
 :func:`validate_kernel` sanity-checks either.
 """
 
@@ -43,19 +43,23 @@ class Kernel:
     given, is f' on (0, pi] in the same form; the shipped kernels' slopes
     are exactly 0 at pi, where the distance to a node folds back, so that
     the potential's slope is 0 at the node's antipode.  Without it,
-    :meth:`derivative` takes a difference quotient of ``fn``.  The arc
-    search rests on ``fn`` being non-increasing, convex and neither NaN nor
-    -inf, and on ``slope`` being its derivative: it refuses a kernel whose
-    :func:`validate_kernel` report fails any of these checks, and computes
-    that report once per kernel.  Strict convexity, which bears only on
-    whether the maximizer is unique, is read off the same report, not
-    declared.
+    :meth:`derivative` takes a difference quotient of ``fn``.
+    ``curvature``, when given beside ``slope``, maps the same distances to
+    the pair ``(f', f'')`` from one evaluation, its f' equal to ``slope``'s;
+    the arc search then takes Newton steps.  Without ``slope`` it is not
+    used.  The arc search rests on ``fn`` being non-increasing, convex and
+    neither NaN nor -inf, and on ``slope`` and ``curvature`` being its
+    derivatives: it refuses a kernel whose :func:`validate_kernel` report
+    fails any of these checks, and computes that report once per kernel.
+    Strict convexity, which bears only on whether the maximizer is unique,
+    is read off the same report, not declared.
     """
 
     fn: Callable
     value_at_zero: float
     label: str = "custom"
     slope: Optional[Callable] = None
+    curvature: Optional[Callable] = None
 
     def eval(self, theta):
         """Evaluate at distance ``theta`` >= 0; a scalar gives a numpy float."""
@@ -77,6 +81,26 @@ class Kernel:
         if np.isnan(out).any():
             raise ValueError("kernel slope returned NaN")
         return out
+
+    @np.errstate(over="ignore", divide="ignore")
+    def _slope_and_curvature(self, theta):
+        """f' and f'' at each distance ``theta`` in [0, pi], from one
+        ``curvature`` call.  At 0, f' is :meth:`derivative`'s and f'' is
+        +inf, which gives a Newton step of 0.  Raises ``ValueError`` when
+        the kernel yields NaN.
+        """
+        theta = np.asarray(theta, dtype=float)
+        zero = None if theta.min(initial=INF) > 0.0 else theta == 0.0
+        pair = self.curvature(theta if zero is None else np.where(zero, np.pi, theta))
+        slope, bend = (v if isinstance(v, np.ndarray) and v.shape == theta.shape
+                       else np.broadcast_to(np.asarray(v, dtype=float), theta.shape)
+                       for v in pair)
+        if zero is not None:
+            at_zero = -INF if self.value_at_zero == INF else 0.0
+            slope, bend = np.where(zero, at_zero, slope), np.where(zero, INF, bend)
+        if np.isnan(slope).any() or np.isnan(bend).any():
+            raise ValueError("kernel curvature returned NaN")
+        return slope, bend
 
     def _difference_quotient(self, d):
         # central, with a step relative to d > 0, symmetric at pi
@@ -174,11 +198,18 @@ def _theta_where_tiny(theta, chord):
     return chord
 
 
-def _chord_kernel(value: Callable, slope: Callable, **fields) -> Kernel:
-    """The kernel ``value(c)`` of the chord ``c``; its slope is
-    ``slope(c, cos(theta/2))``, ``value'(c) cos(theta/2)`` by the chain rule."""
+def _chord_kernel(value: Callable, slope: Callable, derivatives: Callable,
+                  **fields) -> Kernel:
+    """The kernel ``value(c)`` of the chord ``c``.  With ``k = cos(theta/2)``,
+    the chord's derivative, and ``-c/4``, the cosine's, its slope is
+    ``slope(c, k)``, ``value'(c) k`` by the chain rule, and
+    ``derivatives(c, k)`` is that slope, bit for bit, with the second
+    derivative ``value''(c) k**2 - value'(c) c/4``; the curvature takes both
+    from one tangent and one power of the chord."""
     return Kernel(fn=lambda theta: value(_chord(theta)),
-                  slope=lambda theta: slope(*_chord_and_cosine(theta)), **fields)
+                  slope=lambda theta: slope(*_chord_and_cosine(theta)),
+                  curvature=lambda theta: derivatives(*_chord_and_cosine(theta)),
+                  **fields)
 
 
 def riesz_kernel(s: float) -> Kernel:
@@ -191,8 +222,14 @@ def riesz_kernel(s: float) -> Kernel:
     if not 0.0 < s < INF:
         raise ValueError(f"riesz kernel needs finite s > 0, got {s} "
                          "(use power_kernel or log_kernel instead)")
+
+    def derivatives(c, cos):
+        # f'' = s c**(-s-2) ((s + 1) cos**2 + c**2 / 4) = s c**(-s-2) (s cos**2 + 1)
+        power = c ** (-s - 1.0)
+        slope = -s * cos * power
+        return slope, s * (power - cos * slope) / c
     return _chord_kernel(lambda c: c ** -s,
-                         lambda c, cos: -s * cos * c ** (-s - 1.0),
+                         lambda c, cos: -s * cos * c ** (-s - 1.0), derivatives,
                          value_at_zero=INF, label=f"riesz:{s:g}")
 
 
@@ -202,8 +239,11 @@ def log_kernel() -> Kernel:
     Bounded below by ``-log 2``; adding the constant ``log 2`` would make it
     nonnegative without changing any minimizer or optimal configuration.
     """
+    def derivatives(c, cos):
+        slope = -cos / c
+        return slope, 0.25 + slope * slope
     return _chord_kernel(lambda c: -np.log(c), lambda c, cos: -cos / c,
-                         value_at_zero=INF, label="log")
+                         derivatives, value_at_zero=INF, label="log")
 
 
 def power_kernel(alpha: float) -> Kernel:
@@ -216,8 +256,19 @@ def power_kernel(alpha: float) -> Kernel:
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"power kernel needs alpha in (0, 1], got {alpha}")
-    return _chord_kernel(lambda c: -(c ** alpha),
-                         lambda c, cos: -alpha * cos * c ** (alpha - 1.0),
+
+    def slope(c, cos):
+        return -alpha * cos * c ** (alpha - 1.0)
+
+    def derivatives(c, cos):
+        if alpha == 1.0:
+            # the cosine's term is 0, and 0 * c**-1 would be NaN where c**-1
+            # overflows, at subnormal distances
+            return slope(c, cos), 0.25 * c
+        power = c ** (alpha - 1.0)
+        return (-alpha * cos * power,
+                alpha * (power / c) * (0.25 * c * c + (1.0 - alpha) * cos * cos))
+    return _chord_kernel(lambda c: -(c ** alpha), slope, derivatives,
                          value_at_zero=0.0, label=f"power:{alpha:g}")
 
 
@@ -287,7 +338,10 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
     ``SLOPE_TOL`` of the central difference of ``fn`` with step
     ``_SLOPE_STEP * theta``, folded back past pi like the distance; where
     that difference is not finite, as where ``fn`` overflows, it is skipped.
-    Each check reports its first failing grid point.
+    A ``curvature`` declared beside it is part of the same check: its f'
+    must be ``slope``'s, and its f'' not NaN, >= 0 and within ``SLOPE_TOL``
+    of the same difference of ``slope``, one-sided at pi, where ``slope``
+    stops.  Each check reports its first failing grid point.
 
     Every tolerance is 1e-12 of the values compared, floored at the smallest
     normal float, with no absolute term: the hypotheses hold for c f when
@@ -330,6 +384,23 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
                  "slope {s:.6g} at theta={t:.6g}, where fn's difference "
                  "quotient is {q:.6g}"),
             ]
+        if kernel.slope is not None and kernel.curvature is not None:
+            d1, d2 = (np.broadcast_to(np.asarray(v, dtype=float), theta.shape)
+                      for v in kernel.curvature(theta))
+            columns.update(d1=d1, d2=d2)
+            lo, hi = theta - _SLOPE_STEP * theta, np.minimum(theta + _SLOPE_STEP * theta, np.pi)
+            s_lo, s_hi = kernel.slope(lo), kernel.slope(hi)
+            r = columns["r"] = (s_hi - s_lo) / (hi - lo)
+            allowed = SLOPE_TOL * np.abs(r) + _scale_tol(s_lo, s_hi) / (hi - lo)
+            checks["slope"] += [
+                ((d1 != s) & ~(np.abs(d1 - s) <= _scale_tol(d1, s)), 0,
+                 "curvature's slope {d1:.6g} at theta={t:.6g}, where slope "
+                 "is {s:.6g}"),
+                (np.isnan(d2) | (d2 < 0.0), 0, "curvature {d2:.6g} at theta={t:.6g}"),
+                (np.isfinite(r) & ~(np.abs(d2 - r) <= allowed), 0,
+                 "curvature {d2:.6g} at theta={t:.6g}, where slope's "
+                 "difference quotient is {r:.6g}"),
+            ]
     return ValidationReport(label=kernel.label, **{
         name: None if rows is None else _first_failure(rows, theta, columns)
         for name, rows in checks.items()})
@@ -356,4 +427,5 @@ def _require_hypotheses(kernel: Kernel) -> None:
     if failed:
         raise ValueError(f"kernel {kernel.label!r} fails {failed}: "
                          "the arc search needs a finite, non-increasing, "
-                         "convex kernel whose slope is its derivative")
+                         "convex kernel whose slope and curvature are its "
+                         "derivatives")

@@ -5,8 +5,9 @@ the geodesic distances to every node.  For nonincreasing convex kernels the
 potential restricted to one gap between consecutive nodes is convex, since
 the geodesic distance is concave inside a gap.  Its derivative therefore
 changes sign once on the gap, so each gap is searched for that sign change
-by safeguarded secant steps, and the global minimum (the polarization of
-the configuration) is the best of the per-gap minima.
+by safeguarded Newton steps, U'' being the sum of the kernel's f'' >= 0,
+or by secant steps for a kernel without one; the global minimum (the
+polarization of the configuration) is the best of the per-gap minima.
 """
 
 from __future__ import annotations
@@ -125,12 +126,19 @@ def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray
 
 def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Row sums of the slope terms at each probe, stacked over the row sums
-    of their absolute values."""
-    terms = _slope_terms(kernel, nodes, z)
+    of their absolute values and, for a kernel with a curvature, over the
+    potential's second derivative, the row sums of f''(d(z, x)).  Slope and
+    curvature come from one call of the kernel's ``curvature``."""
+    if kernel.slope is None or kernel.curvature is None:
+        terms, bend = _slope_terms(kernel, nodes, z), ()
+    else:
+        w = _signed_wrap(z[..., None] - nodes)
+        slope, curvature = kernel._slope_and_curvature(np.abs(w))
+        terms, bend = slope * np.sign(w), (curvature.sum(axis=-1),)
     slope = terms.sum(axis=-1)
     # np.array builds what np.stack would at a fifth of its fixed cost,
     # which small configurations, with their many tiny passes, pay per pass
-    return np.array((slope, np.abs(terms, out=terms).sum(axis=-1)))
+    return np.array((slope, np.abs(terms, out=terms).sum(axis=-1), *bend))
 
 
 def _rounding(n: int, value: float) -> float:
@@ -215,16 +223,21 @@ def _minimize_on_arcs(
 
     The potential is convex on such an arc, so its derivative rises through
     zero once there.  Each arc keeps a bracket of that root, all arcs at
-    once.  The first probe is the midpoint.  Once the derivative is known at
-    both ends of a bracket, the next probe is the Anderson-Bjorck secant
-    point (Anderson and Bjorck, BIT 13, 1973), at least one float inside the
-    bracket; until then, the midpoint.  Like Brent's method, the engine
-    halves a bracket when the secant steps stop shrinking it: after k probes
-    a bracket wider than 2**(_CERTIFIED_BITS - k) of its arc is halved, so
-    every arc is done within 2 * _CERTIFIED_BITS + 1 probes.  A probe whose
-    slope is zero, below its rounding noise or NaN collapses the bracket
-    onto itself.  An arc leaves the active set once its bracket is
-    certified or has no float inside, and its argmin is the bracket's
+    once.  The first probe is the midpoint.  For a kernel with a
+    ``curvature`` the next probe is the Newton point p - U'(p) / U''(p) from
+    the last probe p, where it lies strictly inside the bracket and the
+    step is at most half the one before (``rtsafe``, *Numerical Recipes*,
+    sec. 9.4).  Otherwise, once the derivative is known at both ends of a
+    bracket, the next probe is the Anderson-Bjorck secant point (Anderson
+    and Bjorck, BIT 13, 1973), at least one float inside the bracket; until
+    then, the midpoint.  A kernel without a curvature takes exactly these
+    secant and midpoint steps.  Like Brent's method, the engine halves a
+    bracket when the steps stop shrinking it: after k probes a bracket
+    wider than 2**(_CERTIFIED_BITS - k) of its arc is halved, Newton point
+    or not, so every arc is done within 2 * _CERTIFIED_BITS + 1 probes.
+    A probe whose slope is zero, below its rounding noise or NaN collapses
+    the bracket onto itself.  An arc leaves the active set once its bracket
+    is certified or has no float inside, and its argmin is the bracket's
     midpoint, kept inside the open arc so it is no node: for a collapsed
     bracket, the probe.  Returns the minimizing angles (wrapped to
     [0, 2*pi)) and the minimum values.  Raises ``ValueError`` when the
@@ -240,6 +253,10 @@ def _minimize_on_arcs(
     s_lo, s_hi = np.full(m, -np.inf), np.full(m, np.inf)
     hi_moved = np.zeros(m, dtype=bool)  # which end the last probe replaced
     certified = lengths * 2.0 ** -_CERTIFIED_BITS
+    curved = kernel.slope is not None and kernel.curvature is not None
+    # U'' at each arc's last probe, and the length of the step that led
+    # there: the first probe, the midpoint, is half an arc from either end
+    bend, moved = np.empty(m), 0.5 * lengths
     # next to both ends of a tiny arc the kernel or its slope can overflow;
     # inf - inf gives no direction, so that arc stops.  Entered once per
     # call, not per iteration: entering it costs a small array operation
@@ -252,10 +269,19 @@ def _minimize_on_arcs(
             a, b, fa, fb = lo[live], hi[live], s_lo[live], s_hi[live]
             p = np.clip(b - fb * ((b - a) / (fb - fa)),
                         np.nextafter(a, b), np.nextafter(b, a))
-            secant = (np.isfinite(fa) & np.isfinite(fb)
-                      & (b - a <= lengths[live] * 2.0 ** (_CERTIFIED_BITS - k)))
-            p = np.where(secant, p, mid[live])
-            slope, size = _row_sums(_slope_sums, kernel, nodes, p, owner[live])
+            halve = b - a > lengths[live] * 2.0 ** (_CERTIFIED_BITS - k)
+            p = np.where(np.isfinite(fa) & np.isfinite(fb) & ~halve, p, mid[live])
+            if curved and k > 0:
+                # rtsafe's Newton step (Numerical Recipes, sec. 9.4) from the
+                # last probe, the end it replaced, whose slope is kept exact;
+                # taken where it lands strictly inside the bracket and is at
+                # most half as long as the step before
+                last = np.where(hi_moved[live], b, a)
+                t = last - np.where(hi_moved[live], fb, fa) / bend[live]
+                p = np.where((a < t) & (t < b) & ~halve
+                             & (np.abs(t - last) <= 0.5 * moved[live]), t, p)
+                moved[live] = np.abs(p - last)
+            slope, size, *u2 = _row_sums(_slope_sums, kernel, nodes, p, owner[live])
             flat = np.isnan(slope) | (np.isfinite(size)
                                       & (np.abs(slope) <= _SLOPE_NOISE * size))
             # Anderson-Bjorck: an end kept twice in a row has its slope
@@ -269,6 +295,8 @@ def _minimize_on_arcs(
             lo[live] = np.where(up & ~flat, a, p)
             hi[live] = np.where(up | flat, p, b)
             hi_moved[live] = up
+            if curved:
+                bend[live] = u2[0]
     # the midpoint of a bracket one float wide rounds onto an end, which may
     # be a node: keep it inside wherever the arc has an interior float
     z = np.clip(0.5 * (lo + hi), np.nextafter(starts, ends),

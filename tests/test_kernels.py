@@ -154,6 +154,38 @@ def test_kernel_slopes_match_mpmath(kind, s):
     assert kernel.slope(np.array([math.pi]))[0] == 0.0
 
 
+@pytest.mark.parametrize("kind, s", [("riesz", 0.5), ("riesz", 2.0), ("riesz", 20.0),
+                                     ("log", 0.0), ("power", 0.5), ("power", 1.0)])
+def test_kernel_curvatures_match_mpmath(kind, s):
+    # f''(theta) = f''(c) cos(theta/2)**2 - f'(c) c/4 for the chord c: with
+    # cos**2 + c**2/4 = 1, s c**(-s-2) (s cos**2 + 1) (riesz), 1/c**2 (log)
+    # or alpha c**(alpha-2) (c**2/4 + (1 - alpha) cos**2) (power), each a
+    # sum of terms >= 0, so the error is measured against f'' itself; seen
+    # at most 1.3 eps (2 + s) f''.  The curvature's slope is the kernel's
+    # slope, bit for bit
+    mpmath = pytest.importorskip("mpmath")
+    kernel = {"riesz": riesz_kernel, "log": lambda _: log_kernel(),
+              "power": power_kernel}[kind](s)
+    rng = np.random.default_rng(7)
+    theta = np.concatenate([rng.uniform(0.0, math.pi, 1000),
+                            10.0 ** rng.uniform(-12.0, 0.0, 500), [1e-12],
+                            math.pi - 10.0 ** rng.uniform(-15.0, 0.0, 500),
+                            [np.nextafter(math.pi, 0.0), math.pi]])
+    theta = theta[theta > 0.0]
+    slope, got = kernel.curvature(theta)
+    assert np.array_equal(slope, kernel.slope(theta))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for t, g in zip(theta.tolist(), got.tolist()):
+            half = mpmath.mpf(t) / 2
+            chord, cos = 2 * mpmath.sin(half), mpmath.cos(half)
+            exact = {"riesz": lambda: s * chord ** (-s - 2) * (s * cos ** 2 + 1),
+                     "log": lambda: 1 / chord ** 2,
+                     "power": lambda: s * chord ** (s - 2)
+                     * (chord ** 2 / 4 + (1 - s) * cos ** 2)}[kind]()
+            assert abs(g - exact) <= 4 * eps * (2 + s) * exact, (t, g, exact)
+
+
 def test_derivative_at_zero_and_without_a_slope():
     # a node adds no slope term at a probe on it unless f(0) is +inf
     assert riesz_kernel(2).derivative(0.0) == -math.inf
@@ -272,9 +304,10 @@ def test_validator_flags_concave_kernel():
 
 def test_no_kernel_can_declare_the_hypotheses_away():
     # monotonicity, convexity and strict convexity are measured on every
-    # kernel, never declared; a declared slope is checked against fn
+    # kernel, never declared; a declared slope is checked against fn, and a
+    # declared curvature against the slope
     names = [f.name for f in dataclasses.fields(Kernel)]
-    assert names == ["fn", "value_at_zero", "label", "slope"]
+    assert names == ["fn", "value_at_zero", "label", "slope", "curvature"]
     with pytest.raises(TypeError):
         Kernel(lambda t: -(t ** 2), 0.0, convex=False)
     with pytest.raises(TypeError):
@@ -328,7 +361,8 @@ def test_the_refusal_names_every_failed_check(kernel, failed):
         polarization(kernel, equally_spaced(3))
     assert str(excinfo.value) == (
         f"kernel {kernel.label!r} fails {named}: the arc search needs a "
-        "finite, non-increasing, convex kernel whose slope is its derivative")
+        "finite, non-increasing, convex kernel whose slope and curvature are "
+        "its derivatives")
 
 
 @pytest.mark.parametrize("kernel", [
@@ -361,6 +395,41 @@ def test_a_wrong_slope_is_refused(slope, detail):
     assert report.failures == ("slope",)
     with pytest.raises(ValueError, match="slope .*" + detail):
         polarization(wrong, equally_spaced(3))
+    assert validate_kernel(dataclasses.replace(wrong, slope=None)).ok
+
+
+@pytest.mark.parametrize("kernel", [
+    riesz_kernel(0.5), riesz_kernel(2), riesz_kernel(400), log_kernel(),
+    power_kernel(0.5), power_kernel(1.0),
+], ids=lambda k: k.label)
+@pytest.mark.parametrize("factor, detail", [
+    (-1.0, r"curvature -[0-9.e+inf]+ at theta"),
+    (2.0, "slope's difference quotient"),
+])
+def test_a_wrong_curvature_is_refused(kernel, factor, detail):
+    # the engine's Newton steps follow f'', so an f'' of the wrong sign or
+    # size is refused like a wrong slope, by every caller of the arc search
+    assert validate_kernel(kernel).slope.passed
+    wrong = dataclasses.replace(kernel, curvature=lambda t: tuple(
+        v * w for v, w in zip(kernel.curvature(t), (1.0, factor))))
+    assert validate_kernel(wrong).failures == ("slope",)
+    c = Configuration([0.0, 1.0, 2.5])
+    plan = solve_transport(c, equally_spaced(3))
+    for search in (lambda: polarization(wrong, c),
+                   lambda: minimum_on_arc(wrong, c, 0.0, 1.0),
+                   lambda: min_curve(wrong, c, plan, 5)):
+        with pytest.raises(ValueError, match="fails slope .*" + detail):
+            search()
+
+
+def test_a_curvature_must_give_the_slope():
+    k = riesz_kernel(2)
+    wrong = dataclasses.replace(k, curvature=lambda t: (
+        1.5 * k.slope(t), k.curvature(t)[1]))
+    assert validate_kernel(wrong).failures == ("slope",)
+    with pytest.raises(ValueError, match="curvature's slope"):
+        polarization(wrong, equally_spaced(3))
+    # a curvature without a slope is not used
     assert validate_kernel(dataclasses.replace(wrong, slope=None)).ok
 
 

@@ -261,13 +261,13 @@ def test_result_repr_shows_value_witnesses_and_arcs():
 
 
 def _counted(kernel):
-    """``kernel`` with a count of the points its function and its slope
-    evaluate, keeping the slope it has or has not.
+    """``kernel`` with a count of the points its function, its slope and
+    its curvature evaluate, keeping those it has or has not.
 
     The arc search checks a kernel's hypotheses once, on first use; that
     check is made here, before counting starts, so only passes are counted.
     """
-    points = {"fn": 0, "slope": 0}
+    points = {"fn": 0, "slope": 0, "curvature": 0}
 
     def counting(name, f):
         def call(t):
@@ -278,7 +278,7 @@ def _counted(kernel):
         name: counting(name, getattr(kernel, name))
         for name in points if getattr(kernel, name) is not None})
     assert counted._report.convex.passed
-    points.update(fn=0, slope=0)
+    points.update(fn=0, slope=0, curvature=0)
     return counted, points
 
 
@@ -292,19 +292,23 @@ def _slope_passes(kernel, config):
     passes = []
     for k, gap in enumerate(config.gaps):
         if gap > 0.0:
-            points.update(fn=0, slope=0)
+            points.update(fn=0, slope=0, curvature=0)
             minimum_on_arc(counted, config, config.angles[k], gap)
-            passes.append(points["slope"] / config.n
+            passes.append((points["slope"] + points["curvature"]) / config.n
                           + (points["fn"] / config.n - 1) / 2)
     return passes
 
 
-def _both_paths(kernels):
-    """Each kernel with its analytic slope, and again with the difference
-    quotient that a kernel without one gets."""
+def _each_path(kernels):
+    """Each kernel as it is, with Newton steps where it has a curvature;
+    again with its analytic slope alone, for the secant steps; and again
+    with the difference quotient that a kernel without a slope gets."""
     params = []
     for k in kernels:
         params.append(pytest.param(k, id=k.label))
+        if k.curvature is not None:
+            params.append(pytest.param(dataclasses.replace(k, curvature=None),
+                                       id=f"{k.label}-secant"))
         if k.slope is not None:
             params.append(pytest.param(dataclasses.replace(k, slope=None),
                                        id=f"{k.label}-quotient"))
@@ -339,7 +343,7 @@ def _configs_by_size():
     return {n: np.array(rows) for n, rows in by_size.items()}
 
 
-@pytest.mark.parametrize("kernel", _both_paths(_HARD_KERNELS))
+@pytest.mark.parametrize("kernel", _each_path(_HARD_KERNELS))
 def test_one_call_over_node_rows_matches_polarization_bit_for_bit(kernel):
     for nodes in _configs_by_size().values():
         batch = potential._polarize_rows(kernel, nodes)
@@ -363,7 +367,7 @@ def test_node_rows_do_not_depend_on_the_block_size(kernel, monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
-@pytest.mark.parametrize("kernel", _both_paths(_HARD_KERNELS))
+@pytest.mark.parametrize("kernel", _each_path(_HARD_KERNELS))
 def test_no_arc_takes_more_than_twice_the_halvings(kernel):
     # once the secant steps stop shrinking a bracket it is halved, so no arc
     # needs more than 2 * 32 + 1 passes; riesz:20 overflows by itself in
@@ -372,18 +376,57 @@ def test_no_arc_takes_more_than_twice_the_halvings(kernel):
         assert max(_slope_passes(kernel, c)) <= 2 * 32 + 1
 
 
-@pytest.mark.parametrize("kernel", _both_paths(_SMOOTH_KERNELS))
+@pytest.mark.parametrize("kernel", _each_path(_SMOOTH_KERNELS))
 def test_secant_steps_take_few_slope_passes(kernel):
-    # about 7 passes per gap; without the Anderson-Bjorck scaling it takes
-    # 13 to 48 on average, and a secant point allowed to round onto a
-    # bracket end (then replaced by the midpoint) takes up to 37
+    # about 7 passes per gap, and 4 to 6 with Newton steps; without the
+    # Anderson-Bjorck scaling it takes 13 to 48 on average, and a secant
+    # point allowed to round onto a bracket end (then replaced by the
+    # midpoint) takes up to 37
     for c in _hard_configs()[2:]:
         passes = _slope_passes(kernel, c)
         assert max(passes) <= 20
         assert np.mean(passes) <= 10
 
 
-@pytest.mark.parametrize("kernel", _both_paths(_HARD_KERNELS))
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel(), power_kernel(0.5)],
+                         ids=lambda k: k.label)
+def test_newton_steps_take_few_slope_passes(kernel):
+    # 3.2 (riesz:2), 3.7 (log) and 4.2 (power:0.5) passes per gap on
+    # average; the secant steps alone take 6.4 to 6.5
+    rng = np.random.default_rng(31)
+    passes = [p for n in rng.integers(2, 9, 60)
+              for p in _slope_passes(kernel, random_config(rng, int(n)))]
+    assert np.mean(passes) <= 5
+
+
+@pytest.mark.parametrize("kernel, arcs", [
+    (Kernel(lambda t: math.pi - t, math.pi, label="pi - t"),
+     ((0, 0.3584073464102048, 8.283185307179588),
+      (1, 1.7499999999708962, 9.174777960798483),
+      (2, 3.391592653589789, 7.316370614359176),
+      (3, 4.641592653589794, 6.283185307179587),
+      (4, 5.000000000178487, 6.858407346588693))),
+    (Kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, label="(pi - t)**2"),
+     ((0, 0.5150444078509754, 18.390037262613728),
+      (1, 1.7499999990673945, 22.87402118218678),
+      (2, 3.028318530713, 14.70352985209998),
+      (3, 4.284955592149771, 12.735170486152096),
+      (4, 5.541592653605369, 13.825))),
+    (dataclasses.replace(riesz_kernel(4), curvature=None),
+     ((0, 0.8637481038014109, 16.060409647920746),
+      (1, 1.6250000701617209, 8213.961540435113),
+      (2, 2.648753343920172, 4.791968299124243),
+      (3, 4.249975424418292, 7.181325363294321),
+      (4, 5.765836945224475, 6.6979271956127535))),
+], ids=["pi - t", "(pi - t)**2", "riesz:4-secant"])
+def test_kernels_without_a_curvature_keep_their_steps(kernel, arcs):
+    # pinned from the engine before it took Newton steps: a kernel with no
+    # declared f'' takes the same secant and bisection steps, bit for bit
+    c = Configuration([0.25, 1.5, 1.75, 3.5, 5.0])
+    assert polarization(kernel, c).per_arc_minima == arcs
+
+
+@pytest.mark.parametrize("kernel", _each_path(_HARD_KERNELS))
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 65, 255, 256])
 def test_equal_spacing_takes_one_slope_pass(kernel, n):
     # the first probe of every gap is its midpoint, where the slope terms
@@ -395,13 +438,15 @@ def test_equal_spacing_takes_one_slope_pass(kernel, n):
     counted, points = _counted(kernel)
     r = polarization(counted, equally_spaced(n))
     if kernel.slope is None:
-        assert points == {"fn": (2 + 1) * n * n, "slope": 0}
+        assert points == {"fn": (2 + 1) * n * n, "slope": 0, "curvature": 0}
+    elif kernel.curvature is None:
+        assert points == {"fn": n * n, "slope": n * n, "curvature": 0}
     else:
-        assert points == {"fn": n * n, "slope": n * n}
+        assert points == {"fn": n * n, "slope": 0, "curvature": n * n}
     assert len(r.per_arc_minima) == n
 
 
-@pytest.mark.parametrize("kernel", _both_paths(_HARD_KERNELS))
+@pytest.mark.parametrize("kernel", _each_path(_HARD_KERNELS))
 def test_single_point_witness_is_the_antipode(kernel):
     # U' passes through 0 at pi instead of jumping there, so the first probe
     # of the one gap, its midpoint, is the minimizer
@@ -524,9 +569,15 @@ def test_nan_met_only_by_a_declared_slope_raises():
     # at distance 0.5 from both nodes
     k = riesz_kernel(2)
     ring = dataclasses.replace(k, slope=lambda t: np.where(
-        np.abs(t - 0.5) < 1e-6, np.nan, k.slope(t)))
+        np.abs(t - 0.5) < 1e-6, np.nan, k.slope(t)), curvature=None)
     assert validate_kernel(ring).ok
     with pytest.raises(ValueError, match="slope returned NaN"):
+        minimum_on_arc(ring, Configuration([0.0, 1.0]), 0.0, 1.0)
+    # with a curvature, the pass takes its slope from that
+    ring = dataclasses.replace(k, curvature=lambda t: tuple(
+        np.where(np.abs(t - 0.5) < 1e-6, np.nan, v) for v in k.curvature(t)))
+    assert validate_kernel(ring).ok
+    with pytest.raises(ValueError, match="curvature returned NaN"):
         minimum_on_arc(ring, Configuration([0.0, 1.0]), 0.0, 1.0)
 
 

@@ -35,11 +35,14 @@ kernel_cases = pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
 
 
 def scaled(kernel, factor):
-    """``kernel`` times ``factor``, its slope too, under the same label."""
+    """``kernel`` times ``factor``, its slope and curvature too, under the
+    same label: a Newton step, f' / f'', is then the same to the bit."""
     slope = None if kernel.slope is None else (lambda t: factor * kernel.slope(t))
+    curvature = None if kernel.curvature is None else (
+        lambda t: tuple(factor * v for v in kernel.curvature(t)))
     return Kernel(fn=lambda t: factor * kernel.fn(t),
                   value_at_zero=factor * kernel.value_at_zero,
-                  label=kernel.label, slope=slope)
+                  label=kernel.label, slope=slope, curvature=curvature)
 
 
 def assert_scaled(got, want, factor):
