@@ -387,10 +387,12 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
         if kernel.slope is not None and kernel.curvature is not None:
             d1, d2 = (np.broadcast_to(np.asarray(v, dtype=float), theta.shape)
                       for v in kernel.curvature(theta))
-            columns.update(d1=d1, d2=d2)
-            lo, hi = theta - _SLOPE_STEP * theta, np.minimum(theta + _SLOPE_STEP * theta, np.pi)
+            # the slope stops at pi: its difference is one-sided there
+            lo = theta - _SLOPE_STEP * theta
+            hi = np.minimum(theta + _SLOPE_STEP * theta, np.pi)
             s_lo, s_hi = kernel.slope(lo), kernel.slope(hi)
-            r = columns["r"] = (s_hi - s_lo) / (hi - lo)
+            r = (s_hi - s_lo) / (hi - lo)
+            columns.update(d1=d1, d2=d2, r=r)
             allowed = SLOPE_TOL * np.abs(r) + _scale_tol(s_lo, s_hi) / (hi - lo)
             checks["slope"] += [
                 ((d1 != s) & ~(np.abs(d1 - s) <= _scale_tol(d1, s)), 0,
