@@ -9,9 +9,9 @@ fact, and provides energy identities, asymptotics, and, for the even
 inverse-power exponents, exact rational closed forms from even zeta values
 and the Taylor coefficients of powers of sinc.  Every search for a minimum
 refuses a kernel that fails a check of ``validate_kernel``: a NaN or -inf
-value, an increase, a midpoint above its chord, or a declared slope that is
-not the kernel's derivative.  Evaluating a potential takes any kernel, and every function
-that sums potentials raises on a NaN kernel value.
+value, an increase, a midpoint above its chord, or declared derivatives
+that are not the kernel's.  Evaluating a potential takes any kernel, and
+every function that sums potentials raises on a NaN kernel value.
 
 The public surface is each module's ``__all__``; the package's is their
 union.

@@ -39,67 +39,68 @@ class Kernel:
 
     ``fn`` must accept positive floats (scalars or numpy arrays) in
     (0, pi] and evaluate elementwise; ``value_at_zero`` is the limit of
-    ``fn`` at 0 from the right, possibly ``math.inf``.  ``slope``, when
-    given, is f' on (0, pi] in the same form; the shipped kernels' slopes
-    are exactly 0 at pi, where the distance to a node folds back, so that
-    the potential's slope is 0 at the node's antipode.  Without it,
-    :meth:`derivative` takes a difference quotient of ``fn``.
-    ``curvature``, when given beside ``slope``, maps the same distances to
-    the pair ``(f', f'')`` from one evaluation, its f' equal to ``slope``'s;
-    the arc search then takes Newton steps.  Without ``slope`` it is not
-    used.  The arc search rests on ``fn`` being non-increasing, convex and
-    neither NaN nor -inf, and on ``slope`` and ``curvature`` being its
-    derivatives: it refuses a kernel whose :func:`validate_kernel` report
-    fails any of these checks, and computes that report once per kernel.
-    Strict convexity, which bears only on whether the maximizer is unique,
-    is read off the same report, not declared.
+    ``fn`` at 0 from the right, possibly ``math.inf``.  ``derivatives``,
+    when given, maps the same distances to the pair ``(f', f'')`` from one
+    evaluation; the shipped kernels' f' is exactly 0 at pi, where the
+    distance to a node folds back, so that the potential's slope is 0 at
+    the node's antipode.  With it the arc search takes Newton steps; without
+    it, :meth:`derivative` takes a difference quotient of ``fn`` and the
+    arc search secant steps.  The arc search rests on ``fn`` being
+    non-increasing, convex and neither NaN nor -inf, and on ``derivatives``
+    being its first two derivatives: it refuses a kernel whose
+    :func:`validate_kernel` report fails any of these checks, and computes
+    that report once per kernel.  Strict convexity, which bears only on
+    whether the maximizer is unique, is read off the same report, not
+    declared.
+
+    The fields, ``fn`` included, are raw callables, which may warn where a
+    value leaves the float range; :meth:`eval` and :meth:`derivative` are
+    the guarded entry points, which return +-inf there and warn on nothing.
     """
 
     fn: Callable
     value_at_zero: float
     label: str = "custom"
-    slope: Optional[Callable] = None
-    curvature: Optional[Callable] = None
+    derivatives: Optional[Callable] = None
 
     def eval(self, theta):
         """Evaluate at distance ``theta`` >= 0; a scalar gives a numpy float."""
         return _off_zero(self.fn, theta, self.value_at_zero)
 
     def derivative(self, theta):
-        """f' at each distance ``theta`` in [0, pi]: ``slope`` if given, else
-        a central difference of ``fn`` with a step relative to ``theta``.
+        """f' at each distance ``theta`` in [0, pi]: from ``derivatives`` if
+        given, else a central difference of ``fn`` with a step relative to
+        ``theta``.
 
-        The shipped slopes and the difference are 0 at pi.  At 0 it is -inf
-        for a singular kernel and 0 otherwise, the symmetric derivative of
-        f(|theta|), so that a node adds no slope term at a probe on it.
+        The shipped kernels' f' and the difference are 0 at pi.  At 0 it is
+        -inf for a singular kernel and 0 otherwise, the symmetric derivative
+        of f(|theta|), so that a node adds no slope term at a probe on it.
         Raises ``ValueError`` when the kernel yields NaN.
         """
-        at_zero = -INF if self.value_at_zero == INF else 0.0
-        if self.slope is None:
+        if self.derivatives is None:
+            at_zero = -INF if self.value_at_zero == INF else 0.0
             return _off_zero(self._difference_quotient, theta, at_zero)
-        out = _off_zero(self.slope, theta, at_zero)
-        if np.isnan(out).any():
-            raise ValueError("kernel slope returned NaN")
-        return out
+        slope, _ = self._slope_and_curvature(theta)
+        if np.isnan(slope).any():
+            raise ValueError("kernel derivatives returned NaN")
+        return slope[()]
 
     @np.errstate(over="ignore", divide="ignore")
     def _slope_and_curvature(self, theta):
         """f' and f'' at each distance ``theta`` in [0, pi], from one
-        ``curvature`` call.  At 0, f' is :meth:`derivative`'s and f'' is
-        +inf, which gives a Newton step of 0.  Raises ``ValueError`` when
-        the kernel yields NaN.
+        ``derivatives`` call, as arrays of its shape; the one place the
+        package calls that field.  At 0, f' is -inf for a singular kernel
+        and 0 otherwise, and f'' is +inf, which gives a Newton step of 0.
+        A NaN is passed on, for the caller to refuse or report.
         """
         theta = np.asarray(theta, dtype=float)
         zero = None if theta.min(initial=INF) > 0.0 else theta == 0.0
-        pair = self.curvature(theta if zero is None else np.where(zero, np.pi, theta))
+        pair = self.derivatives(theta if zero is None else np.where(zero, np.pi, theta))
         slope, bend = (v if isinstance(v, np.ndarray) and v.shape == theta.shape
-                       else np.broadcast_to(np.asarray(v, dtype=float), theta.shape)
-                       for v in pair)
+                       else np.full(theta.shape, v, dtype=float) for v in pair)
         if zero is not None:
             at_zero = -INF if self.value_at_zero == INF else 0.0
             slope, bend = np.where(zero, at_zero, slope), np.where(zero, INF, bend)
-        if np.isnan(slope).any() or np.isnan(bend).any():
-            raise ValueError("kernel curvature returned NaN")
         return slope, bend
 
     def _difference_quotient(self, d):
@@ -198,17 +199,14 @@ def _theta_where_tiny(theta, chord):
     return chord
 
 
-def _chord_kernel(value: Callable, slope: Callable, derivatives: Callable,
-                  **fields) -> Kernel:
+def _chord_kernel(value: Callable, derivatives: Callable, **fields) -> Kernel:
     """The kernel ``value(c)`` of the chord ``c``.  With ``k = cos(theta/2)``,
-    the chord's derivative, and ``-c/4``, the cosine's, its slope is
-    ``slope(c, k)``, ``value'(c) k`` by the chain rule, and
-    ``derivatives(c, k)`` is that slope, bit for bit, with the second
-    derivative ``value''(c) k**2 - value'(c) c/4``; the curvature takes both
-    from one tangent and one power of the chord."""
+    the chord's derivative, and ``-c/4``, the cosine's, ``derivatives(c, k)``
+    is the pair of f' = ``value'(c) k``, by the chain rule, and
+    f'' = ``value''(c) k**2 - value'(c) c/4``, both from one tangent and one
+    power of the chord."""
     return Kernel(fn=lambda theta: value(_chord(theta)),
-                  slope=lambda theta: slope(*_chord_and_cosine(theta)),
-                  curvature=lambda theta: derivatives(*_chord_and_cosine(theta)),
+                  derivatives=lambda theta: derivatives(*_chord_and_cosine(theta)),
                   **fields)
 
 
@@ -228,8 +226,7 @@ def riesz_kernel(s: float) -> Kernel:
         power = c ** (-s - 1.0)
         slope = -s * cos * power
         return slope, s * (power - cos * slope) / c
-    return _chord_kernel(lambda c: c ** -s,
-                         lambda c, cos: -s * cos * c ** (-s - 1.0), derivatives,
+    return _chord_kernel(lambda c: c ** -s, derivatives,
                          value_at_zero=INF, label=f"riesz:{s:g}")
 
 
@@ -242,8 +239,8 @@ def log_kernel() -> Kernel:
     def derivatives(c, cos):
         slope = -cos / c
         return slope, 0.25 + slope * slope
-    return _chord_kernel(lambda c: -np.log(c), lambda c, cos: -cos / c,
-                         derivatives, value_at_zero=INF, label="log")
+    return _chord_kernel(lambda c: -np.log(c), derivatives,
+                         value_at_zero=INF, label="log")
 
 
 def power_kernel(alpha: float) -> Kernel:
@@ -257,18 +254,15 @@ def power_kernel(alpha: float) -> Kernel:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"power kernel needs alpha in (0, 1], got {alpha}")
 
-    def slope(c, cos):
-        return -alpha * cos * c ** (alpha - 1.0)
-
     def derivatives(c, cos):
+        power = c ** (alpha - 1.0)
+        slope = -alpha * cos * power
         if alpha == 1.0:
             # the cosine's term is 0, and 0 * c**-1 would be NaN where c**-1
             # overflows, at subnormal distances
-            return slope(c, cos), 0.25 * c
-        power = c ** (alpha - 1.0)
-        return (-alpha * cos * power,
-                alpha * (power / c) * (0.25 * c * c + (1.0 - alpha) * cos * cos))
-    return _chord_kernel(lambda c: -(c ** alpha), slope, derivatives,
+            return slope, 0.25 * c
+        return slope, alpha * (power / c) * (0.25 * c * c + (1.0 - alpha) * cos * cos)
+    return _chord_kernel(lambda c: -(c ** alpha), derivatives,
                          value_at_zero=0.0, label=f"power:{alpha:g}")
 
 
@@ -298,8 +292,8 @@ class ValidationReport:
 
     @property
     def failures(self) -> Tuple[str, ...]:
-        named = (("finite", self.finite), ("non_increasing", self.non_increasing),
-                 ("convex", self.convex), ("slope", self.slope))
+        named = ((name, getattr(self, name))
+                 for name in ("finite", "non_increasing", "convex", "slope"))
         return tuple(name for name, c in named if c is not None and not c.passed)
 
 
@@ -308,11 +302,11 @@ REL_TOL = 1e-12
 # the validator's grid: (0, pi] in _GRID_SIZE equal steps
 _GRID_SIZE = 1024
 
-# a declared slope must lie within SLOPE_TOL of a central difference of fn,
+# a declared f' must lie within SLOPE_TOL of a central difference of fn,
 # relative to that difference and beyond the REL_TOL rounding of the two
 # values it takes.  Its step, _SLOPE_STEP * theta, keeps the truncation
 # error below 2e-7 of the slope for riesz:1000; the shipped slopes agree to
-# 1e-6 or better, the worst next to pi, where the slope tends to 0
+# 1e-6 or better, the worst next to pi, where f' tends to 0
 SLOPE_TOL = 1e-4
 _SLOPE_STEP = 1e-6
 
@@ -333,15 +327,14 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
     is checked on consecutive grid values, convexity by the midpoint test on
     consecutive grid triples.  Strict convexity is measured, not asked: it
     needs a positive midpoint margin wherever the midpoint value is finite,
-    and its failure is left out of ``failures`` and ``ok``.  A declared
-    ``slope`` must be <= 0 and not NaN, non-decreasing, and within
-    ``SLOPE_TOL`` of the central difference of ``fn`` with step
-    ``_SLOPE_STEP * theta``, folded back past pi like the distance; where
-    that difference is not finite, as where ``fn`` overflows, it is skipped.
-    A ``curvature`` declared beside it is part of the same check: its f'
-    must be ``slope``'s, and its f'' not NaN, >= 0 and within ``SLOPE_TOL``
-    of the same difference of ``slope``, one-sided at pi, where ``slope``
-    stops.  Each check reports its first failing grid point.
+    and its failure is left out of ``failures`` and ``ok``.  Declared
+    ``derivatives`` are the ``slope`` check: their f' must be <= 0 and not
+    NaN, non-decreasing, and within ``SLOPE_TOL`` of the central difference
+    of ``fn`` with step ``_SLOPE_STEP * theta``, folded back past pi like
+    the distance, and their f'' not NaN, >= 0 and within ``SLOPE_TOL`` of
+    the same difference of f', one-sided at pi, where f' stops; where a
+    difference is not finite, as where ``fn`` overflows, it is skipped.
+    Each check reports its first failing grid point.
 
     Every tolerance is 1e-12 of the values compared, floored at the smallest
     normal float, with no absolute term: the hypotheses hold for c f when
@@ -371,35 +364,26 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
                                  "no strict midpoint margin on ({t:.6g}, {u:.6g})")],
             "slope": None,
         }
-        if kernel.slope is not None:
-            s = columns["s"] = np.asarray(kernel.slope(theta), dtype=float)
+        if kernel.derivatives is not None:
+            # f' stops at pi: its difference is one-sided there
+            lo = theta - _SLOPE_STEP * theta
+            hi = np.minimum(theta + _SLOPE_STEP * theta, np.pi)
+            (s, s_lo, s_hi), (d2, _, _) = kernel._slope_and_curvature(
+                np.stack((theta, lo, hi)))
             f_lo, f_hi, width = _folded_difference(kernel.fn, theta, _SLOPE_STEP)
-            q = columns["q"] = (f_hi - f_lo) / width
-            allowed = SLOPE_TOL * np.abs(q) + _scale_tol(f_lo, f_hi) / width
+            q, r = (f_hi - f_lo) / width, (s_hi - s_lo) / (hi - lo)
+            columns.update(s=s, q=q, d2=d2, r=r)
             checks["slope"] = [
                 (np.isnan(s) | (s > 0.0), 0, "slope {s:.6g} at theta={t:.6g}"),
                 (np.concatenate(([False], s[1:] < s[:-1] - _scale_tol(s[:-1], s[1:]))),
                  0, "slope {s:.6g} at theta={t:.6g} is below the one before it"),
-                (np.isfinite(q) & ~(np.abs(s - q) <= allowed), 0,
+                (np.isfinite(q) & ~(np.abs(s - q) <= SLOPE_TOL * np.abs(q)
+                                    + _scale_tol(f_lo, f_hi) / width), 0,
                  "slope {s:.6g} at theta={t:.6g}, where fn's difference "
                  "quotient is {q:.6g}"),
-            ]
-        if kernel.slope is not None and kernel.curvature is not None:
-            d1, d2 = (np.broadcast_to(np.asarray(v, dtype=float), theta.shape)
-                      for v in kernel.curvature(theta))
-            # the slope stops at pi: its difference is one-sided there
-            lo = theta - _SLOPE_STEP * theta
-            hi = np.minimum(theta + _SLOPE_STEP * theta, np.pi)
-            s_lo, s_hi = kernel.slope(lo), kernel.slope(hi)
-            r = (s_hi - s_lo) / (hi - lo)
-            columns.update(d1=d1, d2=d2, r=r)
-            allowed = SLOPE_TOL * np.abs(r) + _scale_tol(s_lo, s_hi) / (hi - lo)
-            checks["slope"] += [
-                ((d1 != s) & ~(np.abs(d1 - s) <= _scale_tol(d1, s)), 0,
-                 "curvature's slope {d1:.6g} at theta={t:.6g}, where slope "
-                 "is {s:.6g}"),
                 (np.isnan(d2) | (d2 < 0.0), 0, "curvature {d2:.6g} at theta={t:.6g}"),
-                (np.isfinite(r) & ~(np.abs(d2 - r) <= allowed), 0,
+                (np.isfinite(r) & ~(np.abs(d2 - r) <= SLOPE_TOL * np.abs(r)
+                                    + _scale_tol(s_lo, s_hi) / (hi - lo)), 0,
                  "curvature {d2:.6g} at theta={t:.6g}, where slope's "
                  "difference quotient is {r:.6g}"),
             ]

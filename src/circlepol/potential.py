@@ -6,8 +6,9 @@ potential restricted to one gap between consecutive nodes is convex, since
 the geodesic distance is concave inside a gap.  Its derivative therefore
 changes sign once on the gap, so each gap is searched for that sign change
 by safeguarded Newton steps, U'' being the sum of the kernel's f'' >= 0,
-or by secant steps for a kernel without one; the global minimum (the
-polarization of the configuration) is the best of the per-gap minima.
+or by secant steps for a kernel without ``derivatives``; the global
+minimum (the polarization of the configuration) is the best of the per-gap
+minima.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
 _CERTIFIED_BITS = 32
 
 # a slope this small against its summed absolute terms has no certain sign.
-# It is set by kernels without a slope of their own, which take the
+# It is set by kernels without derivatives of their own, which take the
 # difference quotient of Kernel.derivative.  Values computed from the chord
 # carry its relative error, below 1.4 eps (about 2 ulp), so f(d +- h) is off
 # by up to about 1.4 * eps * d * |f'(d)|; divided by 2h = 1.2e-5 * d, that
@@ -126,14 +127,16 @@ def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray
 
 def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Row sums of the slope terms at each probe, stacked over the row sums
-    of their absolute values and, for a kernel with a curvature, over the
-    potential's second derivative, the row sums of f''(d(z, x)).  Slope and
-    curvature come from one call of the kernel's ``curvature``."""
-    if kernel.slope is None or kernel.curvature is None:
+    of their absolute values and, for a kernel with ``derivatives``, over
+    the potential's second derivative, the row sums of f''(d(z, x)).  f'
+    and f'' come from one call of that field."""
+    if kernel.derivatives is None:
         terms, bend = _slope_terms(kernel, nodes, z), ()
     else:
         w = _signed_wrap(z[..., None] - nodes)
         slope, curvature = kernel._slope_and_curvature(np.abs(w))
+        if np.isnan(slope).any() or np.isnan(curvature).any():
+            raise ValueError("kernel derivatives returned NaN")
         terms, bend = slope * np.sign(w), (curvature.sum(axis=-1),)
     slope = terms.sum(axis=-1)
     # np.array builds what np.stack would at a fifth of its fixed cost,
@@ -223,14 +226,14 @@ def _minimize_on_arcs(
 
     The potential is convex on such an arc, so its derivative rises through
     zero once there.  Each arc keeps a bracket of that root, all arcs at
-    once.  The first probe is the midpoint.  For a kernel with a
-    ``curvature`` the next probe is the Newton point p - U'(p) / U''(p) from
-    the last probe p, where it lies strictly inside the bracket and the
+    once.  The first probe is the midpoint.  For a kernel with
+    ``derivatives`` the next probe is the Newton point p - U'(p) / U''(p)
+    from the last probe p, where it lies strictly inside the bracket and the
     step is at most half the one before (``rtsafe``, *Numerical Recipes*,
     sec. 9.4).  Otherwise, once the derivative is known at both ends of a
     bracket, the next probe is the Anderson-Bjorck secant point (Anderson
     and Bjorck, BIT 13, 1973), at least one float inside the bracket; until
-    then, the midpoint.  A kernel without a curvature takes exactly these
+    then, the midpoint.  A kernel without ``derivatives`` takes exactly these
     secant and midpoint steps.  Like Brent's method, the engine halves a
     bracket when the steps stop shrinking it: after k probes a bracket
     wider than 2**(_CERTIFIED_BITS - k) of its arc is halved, Newton point
@@ -253,7 +256,7 @@ def _minimize_on_arcs(
     s_lo, s_hi = np.full(m, -np.inf), np.full(m, np.inf)
     hi_moved = np.zeros(m, dtype=bool)  # which end the last probe replaced
     certified = lengths * 2.0 ** -_CERTIFIED_BITS
-    curved = kernel.slope is not None and kernel.curvature is not None
+    curved = kernel.derivatives is not None
     # U'' at each arc's last probe, and the length of the step that led
     # there: the first probe, the midpoint, is half an arc from either end
     bend, moved = np.empty(m), 0.5 * lengths
@@ -317,12 +320,14 @@ def minimum_on_arc(
     ``config.gaps[k]``.  A zero-length arc evaluates the single point.
     Raises ``ValueError`` on a non-finite or negative arc, or when a node of
     ``config`` lies inside the arc, more than ``ANGLE_TOL`` from both ends:
-    the potential need not be convex there.
+    the potential need not be convex there.  An arc longer than the circle
+    meets every node, its start's too, a second time, 2 pi further on.
     """
     start, length = float(start), float(length)
     if not (math.isfinite(start) and 0.0 <= length < math.inf):
         raise ValueError(f"need finite start, length >= 0: {start!r}, {length!r}")
     offsets = (config.angle_array - start) % TWO_PI
+    offsets = np.concatenate((offsets, offsets + TWO_PI))
     if ((offsets > ANGLE_TOL) & (offsets < length - ANGLE_TOL)).any():
         raise ValueError("a node of the configuration lies inside the arc")
     xs, vs = _minimize_on_arcs(kernel, config.angle_array[None], np.array([start]),

@@ -72,10 +72,15 @@ def test_singular_kernels_return_inf_at_zero():
     (lambda: log_kernel().derivative(1e-310), -math.inf),
     (lambda: riesz_kernel(2).derivative(1e-200), -math.inf),
     (lambda: riesz_kernel(400).eval(np.array([1e-3, 1.0]))[0], math.inf),
-], ids=["riesz400-eval", "log-derivative", "riesz2-derivative", "array"])
+    (lambda: riesz_kernel(400).derivative(1e-3), -math.inf),
+    (lambda: power_kernel(0.5).derivative(5e-324), -0.5 * 5e-324 ** -0.5),
+    (lambda: power_kernel(1.0).derivative(5e-324), -1.0),
+], ids=["riesz400-eval", "log-derivative", "riesz2-derivative", "array",
+       "riesz400-derivative", "power0.5-derivative", "power1-derivative"])
 def test_values_past_the_float_range_are_inf_without_a_warning(call, expected):
     # the suite turns a RuntimeWarning into an error, so an overflow
-    # warning from the power or the division would fail here
+    # warning from the power or the division would fail here; derivative
+    # also computes f'', which overflows first
     assert call() == expected
 
 
@@ -137,7 +142,7 @@ def test_kernel_slopes_match_mpmath(kind, s):
                             [np.nextafter(math.pi, 0.0)]])
     theta = theta[theta > 0.0]
     got = kernel.derivative(theta)
-    assert np.array_equal(got, kernel.slope(theta))
+    assert np.array_equal(got, kernel.derivatives(theta)[0])
     eps = np.finfo(float).eps
     with mpmath.workdps(40):
         for t, g in zip(theta.tolist(), got.tolist()):
@@ -151,7 +156,7 @@ def test_kernel_slopes_match_mpmath(kind, s):
     # at the antipode of a node U' must pass through 0, as the folded
     # difference quotient does
     assert kernel.derivative(math.pi) == 0.0
-    assert kernel.slope(np.array([math.pi]))[0] == 0.0
+    assert kernel.derivatives(np.array([math.pi]))[0][0] == 0.0
 
 
 @pytest.mark.parametrize("kind, s", [("riesz", 0.5), ("riesz", 2.0), ("riesz", 20.0),
@@ -161,8 +166,8 @@ def test_kernel_curvatures_match_mpmath(kind, s):
     # cos**2 + c**2/4 = 1, s c**(-s-2) (s cos**2 + 1) (riesz), 1/c**2 (log)
     # or alpha c**(alpha-2) (c**2/4 + (1 - alpha) cos**2) (power), each a
     # sum of terms >= 0, so the error is measured against f'' itself; seen
-    # at most 1.3 eps (2 + s) f''.  The curvature's slope is the kernel's
-    # slope, bit for bit
+    # at most 1.3 eps (2 + s) f''.  The f' of the same call is derivative's,
+    # bit for bit
     mpmath = pytest.importorskip("mpmath")
     kernel = {"riesz": riesz_kernel, "log": lambda _: log_kernel(),
               "power": power_kernel}[kind](s)
@@ -172,8 +177,8 @@ def test_kernel_curvatures_match_mpmath(kind, s):
                             math.pi - 10.0 ** rng.uniform(-15.0, 0.0, 500),
                             [np.nextafter(math.pi, 0.0), math.pi]])
     theta = theta[theta > 0.0]
-    slope, got = kernel.curvature(theta)
-    assert np.array_equal(slope, kernel.slope(theta))
+    slope, got = kernel.derivatives(theta)
+    assert np.array_equal(slope, kernel.derivative(theta))
     eps = np.finfo(float).eps
     with mpmath.workdps(40):
         for t, g in zip(theta.tolist(), got.tolist()):
@@ -191,9 +196,9 @@ def test_derivative_at_zero_and_without_a_slope():
     assert riesz_kernel(2).derivative(0.0) == -math.inf
     assert log_kernel().derivative(0.0) == -math.inf
     assert power_kernel(0.5).derivative([0.0, 1.0])[0] == 0.0
-    # without a slope, a relative-step difference quotient, symmetric at pi
+    # without derivatives, a relative-step difference quotient, symmetric at pi
     k = riesz_kernel(2)
-    quotient = dataclasses.replace(k, slope=None)
+    quotient = dataclasses.replace(k, derivatives=None)
     theta = np.array([1e-6, 0.5, 2.0, math.pi - 1e-3])
     assert_allclose(quotient.derivative(theta), k.derivative(theta), rtol=1e-7)
     assert quotient.derivative(math.pi) == 0.0
@@ -282,7 +287,7 @@ def test_validation_reports_are_pinned(kernel, flat_at):
     # where 1e-12 of a value would be no tolerance at all
     passed = CheckResult(True)
     strict = passed if flat_at is None else _no_strict_margin(flat_at)
-    slope = None if kernel.slope is None else passed
+    slope = None if kernel.derivatives is None else passed
     assert validate_kernel(kernel) == ValidationReport(
         kernel.label, passed, passed, passed, strict, slope)
 
@@ -304,10 +309,8 @@ def test_validator_flags_concave_kernel():
 
 def test_no_kernel_can_declare_the_hypotheses_away():
     # monotonicity, convexity and strict convexity are measured on every
-    # kernel, never declared; a declared slope is checked against fn, and a
-    # declared curvature against the slope
-    names = [f.name for f in dataclasses.fields(Kernel)]
-    assert names == ["fn", "value_at_zero", "label", "slope", "curvature"]
+    # kernel, never declared; declared derivatives are checked against fn,
+    # and the fields are pinned in test_public_surface
     with pytest.raises(TypeError):
         Kernel(lambda t: -(t ** 2), 0.0, convex=False)
     with pytest.raises(TypeError):
@@ -345,7 +348,8 @@ def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
 
 @pytest.mark.parametrize("kernel, failed", [
     (Kernel(np.sin, 0.0, label="sin"), ("non_increasing", "convex")),
-    (Kernel(lambda t: -(t ** 2), 0.0, label="concave", slope=lambda t: -t),
+    (Kernel(lambda t: -(t ** 2), 0.0, label="concave",
+            derivatives=lambda t: (-t, -1.0)),
      ("convex", "slope")),
 ], ids=lambda x: getattr(x, "label", None))
 def test_the_refusal_names_every_failed_check(kernel, failed):
@@ -380,22 +384,24 @@ def test_arc_search_accepts_kernels_that_meet_the_hypotheses(kernel):
 
 
 @pytest.mark.parametrize("slope, detail", [
-    (lambda t: 2.0 * riesz_kernel(2).slope(t), "difference quotient"),
-    (lambda t: riesz_kernel(2).slope(t) * (1.0 + 1e-3), "difference quotient"),
-    (lambda t: -riesz_kernel(2).slope(t), r"slope [0-9.e+-]+ at theta"),
-    (lambda t: riesz_kernel(2).slope(t) * np.where(t > 2, 1.5, 1.0),
+    (lambda t: 2.0 * riesz_kernel(2).derivative(t), "difference quotient"),
+    (lambda t: riesz_kernel(2).derivative(t) * (1.0 + 1e-3), "difference quotient"),
+    (lambda t: -riesz_kernel(2).derivative(t), r"slope [0-9.e+-]+ at theta"),
+    (lambda t: riesz_kernel(2).derivative(t) * np.where(t > 2, 1.5, 1.0),
      "below the one before"),
-    (lambda t: np.where(t > 3, np.nan, riesz_kernel(2).slope(t)), "slope nan"),
+    (lambda t: np.where(t > 3, np.nan, riesz_kernel(2).derivative(t)), "slope nan"),
 ])
 def test_a_wrong_slope_is_refused(slope, detail):
-    # the engine follows the slope in place of fn, so a slope that is not
-    # fn's derivative would bypass the hypotheses checked on fn
-    wrong = dataclasses.replace(riesz_kernel(2), slope=slope)
+    # the engine follows f' in place of fn, so an f' that is not fn's
+    # derivative would bypass the hypotheses checked on fn
+    k = riesz_kernel(2)
+    wrong = dataclasses.replace(
+        k, derivatives=lambda t: (slope(t), k.derivatives(t)[1]))
     report = validate_kernel(wrong)
     assert report.failures == ("slope",)
     with pytest.raises(ValueError, match="slope .*" + detail):
         polarization(wrong, equally_spaced(3))
-    assert validate_kernel(dataclasses.replace(wrong, slope=None)).ok
+    assert validate_kernel(dataclasses.replace(wrong, derivatives=None)).ok
 
 
 @pytest.mark.parametrize("kernel", [
@@ -408,10 +414,10 @@ def test_a_wrong_slope_is_refused(slope, detail):
 ])
 def test_a_wrong_curvature_is_refused(kernel, factor, detail):
     # the engine's Newton steps follow f'', so an f'' of the wrong sign or
-    # size is refused like a wrong slope, by every caller of the arc search
+    # size is refused like a wrong f', by every caller of the arc search
     assert validate_kernel(kernel).slope.passed
-    wrong = dataclasses.replace(kernel, curvature=lambda t: tuple(
-        v * w for v, w in zip(kernel.curvature(t), (1.0, factor))))
+    wrong = dataclasses.replace(kernel, derivatives=lambda t: tuple(
+        v * w for v, w in zip(kernel.derivatives(t), (1.0, factor))))
     assert validate_kernel(wrong).failures == ("slope",)
     c = Configuration([0.0, 1.0, 2.5])
     plan = solve_transport(c, equally_spaced(3))
@@ -422,23 +428,12 @@ def test_a_wrong_curvature_is_refused(kernel, factor, detail):
             search()
 
 
-def test_a_curvature_must_give_the_slope():
-    k = riesz_kernel(2)
-    wrong = dataclasses.replace(k, curvature=lambda t: (
-        1.5 * k.slope(t), k.curvature(t)[1]))
-    assert validate_kernel(wrong).failures == ("slope",)
-    with pytest.raises(ValueError, match="curvature's slope"):
-        polarization(wrong, equally_spaced(3))
-    # a curvature without a slope is not used
-    assert validate_kernel(dataclasses.replace(wrong, slope=None)).ok
-
-
 def test_a_declared_slope_is_followed():
     k = Kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2,
-               slope=lambda t: 2.0 * (t - math.pi))
+               derivatives=lambda t: (2.0 * (t - math.pi), 2.0))
     assert validate_kernel(k).ok
     c = Configuration([0.0, 1.0, 2.5])
-    quotient = dataclasses.replace(k, slope=None)
+    quotient = dataclasses.replace(k, derivatives=None)
     assert polarization(k, c).value == pytest.approx(
         polarization(quotient, c).value, rel=1e-14)
 

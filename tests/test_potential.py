@@ -95,6 +95,17 @@ def test_minimum_on_arc_rejects_arc_over_a_node():
     assert x == pytest.approx(math.pi / 4, abs=1e-9)
 
 
+def test_minimum_on_arc_rejects_an_arc_longer_than_the_circle():
+    # such an arc meets its start's node a second time, 2 pi on; the one
+    # gap of a single point, 2 pi long, is no such arc
+    k, c = riesz_kernel(2), equally_spaced(1)
+    for length in (4 * math.pi, TWO_PI + 1e-9):
+        with pytest.raises(ValueError, match="inside the arc"):
+            minimum_on_arc(k, c, 0.0, length)
+    x, v = minimum_on_arc(k, c, 0.0, TWO_PI)
+    assert (x, v) == (math.pi, k.eval(math.pi))
+
+
 @pytest.mark.parametrize("start, length", [
     (math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan), (0.5, math.inf),
     (0.5, -1.0),
@@ -261,13 +272,13 @@ def test_result_repr_shows_value_witnesses_and_arcs():
 
 
 def _counted(kernel):
-    """``kernel`` with a count of the points its function, its slope and
-    its curvature evaluate, keeping those it has or has not.
+    """``kernel`` with a count of the points its function and its
+    derivatives evaluate, keeping those it has or has not.
 
     The arc search checks a kernel's hypotheses once, on first use; that
     check is made here, before counting starts, so only passes are counted.
     """
-    points = {"fn": 0, "slope": 0, "curvature": 0}
+    points = {"fn": 0, "derivatives": 0}
 
     def counting(name, f):
         def call(t):
@@ -278,39 +289,36 @@ def _counted(kernel):
         name: counting(name, getattr(kernel, name))
         for name in points if getattr(kernel, name) is not None})
     assert counted._report.convex.passed
-    points.update(fn=0, slope=0, curvature=0)
+    points.update(fn=0, derivatives=0)
     return counted, points
 
 
 def _slope_passes(kernel, config):
     """Slope passes ``minimum_on_arc`` spends on each nonempty gap.
 
-    A pass evaluates the slope once per node, or without one the function
-    twice, at d - h and d + h; the final value takes one more.
+    A pass evaluates the derivatives once per node, or without them the
+    function twice, at d - h and d + h; the final value takes one more.
     """
     counted, points = _counted(kernel)
     passes = []
     for k, gap in enumerate(config.gaps):
         if gap > 0.0:
-            points.update(fn=0, slope=0, curvature=0)
+            points.update(fn=0, derivatives=0)
             minimum_on_arc(counted, config, config.angles[k], gap)
-            passes.append((points["slope"] + points["curvature"]) / config.n
+            passes.append(points["derivatives"] / config.n
                           + (points["fn"] / config.n - 1) / 2)
     return passes
 
 
 def _each_path(kernels):
-    """Each kernel as it is, with Newton steps where it has a curvature;
-    again with its analytic slope alone, for the secant steps; and again
-    with the difference quotient that a kernel without a slope gets."""
+    """Each kernel as it is, with Newton steps where it has derivatives,
+    and again with the difference quotient and secant steps that a kernel
+    without them gets."""
     params = []
     for k in kernels:
         params.append(pytest.param(k, id=k.label))
-        if k.curvature is not None:
-            params.append(pytest.param(dataclasses.replace(k, curvature=None),
-                                       id=f"{k.label}-secant"))
-        if k.slope is not None:
-            params.append(pytest.param(dataclasses.replace(k, slope=None),
+        if k.derivatives is not None:
+            params.append(pytest.param(dataclasses.replace(k, derivatives=None),
                                        id=f"{k.label}-quotient"))
     return params
 
@@ -392,7 +400,7 @@ def test_secant_steps_take_few_slope_passes(kernel):
                          ids=lambda k: k.label)
 def test_newton_steps_take_few_slope_passes(kernel):
     # 3.2 (riesz:2), 3.7 (log) and 4.2 (power:0.5) passes per gap on
-    # average; the secant steps alone take 6.4 to 6.5
+    # average; the secant steps on the difference quotient take 6.4 to 6.5
     rng = np.random.default_rng(31)
     passes = [p for n in rng.integers(2, 9, 60)
               for p in _slope_passes(kernel, random_config(rng, int(n)))]
@@ -412,16 +420,10 @@ def test_newton_steps_take_few_slope_passes(kernel):
       (2, 3.028318530713, 14.70352985209998),
       (3, 4.284955592149771, 12.735170486152096),
       (4, 5.541592653605369, 13.825))),
-    (dataclasses.replace(riesz_kernel(4), curvature=None),
-     ((0, 0.8637481038014109, 16.060409647920746),
-      (1, 1.6250000701617209, 8213.961540435113),
-      (2, 2.648753343920172, 4.791968299124243),
-      (3, 4.249975424418292, 7.181325363294321),
-      (4, 5.765836945224475, 6.6979271956127535))),
-], ids=["pi - t", "(pi - t)**2", "riesz:4-secant"])
+], ids=["pi - t", "(pi - t)**2"])
 def test_kernels_without_a_curvature_keep_their_steps(kernel, arcs):
-    # pinned from the engine before it took Newton steps: a kernel with no
-    # declared f'' takes the same secant and bisection steps, bit for bit
+    # pinned from the engine before it took Newton steps: a kernel without
+    # derivatives takes the same secant and bisection steps, bit for bit
     c = Configuration([0.25, 1.5, 1.75, 3.5, 5.0])
     assert polarization(kernel, c).per_arc_minima == arcs
 
@@ -433,16 +435,14 @@ def test_equal_spacing_takes_one_slope_pass(kernel, n):
     # cancel to rounding; with n odd a node sits at the antipode of every
     # midpoint, where the slope is 0 and the difference quotient symmetric
     # about pi.  Blocks split a pass into several calls, so the count is of
-    # evaluated points: per (gap, node) pair, one slope or two values for
-    # the one pass, and one value for the final value
+    # evaluated points: per (gap, node) pair, one (f', f'') or two values
+    # for the one pass, and one value for the final value
     counted, points = _counted(kernel)
     r = polarization(counted, equally_spaced(n))
-    if kernel.slope is None:
-        assert points == {"fn": (2 + 1) * n * n, "slope": 0, "curvature": 0}
-    elif kernel.curvature is None:
-        assert points == {"fn": n * n, "slope": n * n, "curvature": 0}
+    if kernel.derivatives is None:
+        assert points == {"fn": (2 + 1) * n * n, "derivatives": 0}
     else:
-        assert points == {"fn": n * n, "slope": 0, "curvature": n * n}
+        assert points == {"fn": n * n, "derivatives": n * n}
     assert len(r.per_arc_minima) == n
 
 
@@ -528,8 +528,8 @@ def test_nan_met_only_by_refinement_raises():
 
 def test_nan_met_only_where_potentials_are_summed_raises():
     # fn is NaN within 1e-6 of distance pi/3, off the validator's grid, and
-    # the declared slope is clear of it: the one check on summed potentials
-    # catches it, at the argmin of each gap and at a probe
+    # the declared derivatives are clear of it: the one check on summed
+    # potentials catches it, at the argmin of each gap and at a probe
     k = riesz_kernel(2)
     ring = dataclasses.replace(k, fn=lambda t: np.where(
         np.abs(t - math.pi / 3) < 1e-6, np.nan, k.fn(t)))
@@ -564,21 +564,23 @@ def test_nan_met_only_by_the_difference_quotient_raises():
 
 
 def test_nan_met_only_by_a_declared_slope_raises():
-    # the slope is NaN only within 1e-6 of distance 0.5, which no point of
-    # the validator's grid comes near, and the first probe of the gap lies
-    # at distance 0.5 from both nodes
+    # f', or f'' alone, is NaN only within 1e-6 of distance 0.5, which no
+    # point of the validator's grid comes near, and the first probe of the
+    # gap lies at distance 0.5 from both nodes
     k = riesz_kernel(2)
-    ring = dataclasses.replace(k, slope=lambda t: np.where(
-        np.abs(t - 0.5) < 1e-6, np.nan, k.slope(t)), curvature=None)
-    assert validate_kernel(ring).ok
-    with pytest.raises(ValueError, match="slope returned NaN"):
-        minimum_on_arc(ring, Configuration([0.0, 1.0]), 0.0, 1.0)
-    # with a curvature, the pass takes its slope from that
-    ring = dataclasses.replace(k, curvature=lambda t: tuple(
-        np.where(np.abs(t - 0.5) < 1e-6, np.nan, v) for v in k.curvature(t)))
-    assert validate_kernel(ring).ok
-    with pytest.raises(ValueError, match="curvature returned NaN"):
-        minimum_on_arc(ring, Configuration([0.0, 1.0]), 0.0, 1.0)
+
+    def ring(i):
+        def derivatives(t):
+            pair = list(k.derivatives(t))
+            pair[i] = np.where(np.abs(t - 0.5) < 1e-6, np.nan, pair[i])
+            return tuple(pair)
+        return dataclasses.replace(k, derivatives=derivatives)
+    for bad in (ring(0), ring(1)):
+        assert validate_kernel(bad).ok
+        with pytest.raises(ValueError, match="^kernel derivatives returned NaN$"):
+            minimum_on_arc(bad, Configuration([0.0, 1.0]), 0.0, 1.0)
+    with pytest.raises(ValueError, match="^kernel derivatives returned NaN$"):
+        ring(0).derivative(0.5)
 
 
 def test_polarization_value_is_min_of_per_arc():

@@ -1,5 +1,6 @@
 """The package's public names: a fixed list, each one a module's export."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -40,3 +41,10 @@ def test_kernels_and_configurations_have_one_spelling_per_operation():
     # a kernel is evaluated by eval, a separation is min(gaps)
     assert not callable(circlepol.riesz_kernel(2))
     assert not hasattr(circlepol.equally_spaced(3), "separation")
+
+
+def test_a_kernel_has_one_derivatives_field():
+    # f' and f'' come from one callable: a second field for either would
+    # let a kernel state f' twice, or declare one without the other
+    fields = [f.name for f in dataclasses.fields(circlepol.Kernel) if f.init]
+    assert fields == ["fn", "value_at_zero", "label", "derivatives"]

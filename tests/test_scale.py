@@ -35,14 +35,13 @@ kernel_cases = pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
 
 
 def scaled(kernel, factor):
-    """``kernel`` times ``factor``, its slope and curvature too, under the
-    same label: a Newton step, f' / f'', is then the same to the bit."""
-    slope = None if kernel.slope is None else (lambda t: factor * kernel.slope(t))
-    curvature = None if kernel.curvature is None else (
-        lambda t: tuple(factor * v for v in kernel.curvature(t)))
+    """``kernel`` times ``factor``, its derivatives too, under the same
+    label: a Newton step, f' / f'', is then the same to the bit."""
+    derivatives = None if kernel.derivatives is None else (
+        lambda t: tuple(factor * v for v in kernel.derivatives(t)))
     return Kernel(fn=lambda t: factor * kernel.fn(t),
                   value_at_zero=factor * kernel.value_at_zero,
-                  label=kernel.label, slope=slope, curvature=curvature)
+                  label=kernel.label, derivatives=derivatives)
 
 
 def assert_scaled(got, want, factor):
