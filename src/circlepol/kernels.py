@@ -43,9 +43,9 @@ class Kernel:
     when given, maps the same distances to the pair ``(f', f'')`` from one
     evaluation; the shipped kernels' f' is exactly 0 at pi, where the
     distance to a node folds back, so that the potential's slope is 0 at
-    the node's antipode.  With it the arc search takes Newton steps; without
-    it, :meth:`derivative` takes a difference quotient of ``fn`` and the
-    arc search secant steps.  The arc search rests on ``fn`` being
+    the node's antipode.  Without it, f' is a difference quotient of ``fn``
+    and f'' is +inf, which the arc search reads as no Newton step, as on a
+    node: it takes secant and midpoint steps there.  The arc search rests on ``fn`` being
     non-increasing, convex and neither NaN nor -inf, and on ``derivatives``
     being its first two derivatives: it refuses a kernel whose
     :func:`validate_kernel` report fails any of these checks, and computes
@@ -65,50 +65,42 @@ class Kernel:
 
     def eval(self, theta):
         """Evaluate at distance ``theta`` >= 0; a scalar gives a numpy float."""
-        return _off_zero(self.fn, theta, self.value_at_zero)
+        return _on_distances(self.fn, theta, self.value_at_zero)[0]
 
     def derivative(self, theta):
-        """f' at each distance ``theta`` in [0, pi]: from ``derivatives`` if
-        given, else a central difference of ``fn`` with a step relative to
-        ``theta``.
+        """f' at each distance ``theta`` in [0, pi], from
+        :meth:`_slope_and_curvature`: the declared ``derivatives``, or a
+        central difference of ``fn`` with a step relative to ``theta``.
 
         The shipped kernels' f' and the difference are 0 at pi.  At 0 it is
         -inf for a singular kernel and 0 otherwise, the symmetric derivative
         of f(|theta|), so that a node adds no slope term at a probe on it.
         Raises ``ValueError`` when the kernel yields NaN.
         """
-        if self.derivatives is None:
-            at_zero = -INF if self.value_at_zero == INF else 0.0
-            return _off_zero(self._difference_quotient, theta, at_zero)
-        slope, _ = self._slope_and_curvature(theta)
-        if np.isnan(slope).any():
+        slope, curvature = self._slope_and_curvature(theta)
+        # a difference quotient, with its f'' of +inf, passes a NaN on
+        if (np.isnan(slope) & (curvature < INF)).any():
             raise ValueError("kernel derivatives returned NaN")
-        return slope[()]
+        return slope
 
-    @np.errstate(over="ignore", divide="ignore")
     def _slope_and_curvature(self, theta):
-        """f' and f'' at each distance ``theta`` in [0, pi], from one
-        ``derivatives`` call, as arrays of its shape; the one place the
-        package calls that field.  At 0, f' is -inf for a singular kernel
-        and 0 otherwise, and f'' is +inf, which gives a Newton step of 0.
-        A NaN is passed on, for the caller to refuse or report.
+        """f' and f'' at each distance ``theta`` in [0, pi], from one call,
+        as arrays of its shape; the one place the package reads
+        ``derivatives``.  A kernel without them gets the difference quotient
+        of ``fn`` and f'' = +inf, which, like f'' at 0, gives no Newton step.
+        At 0, f' is -inf for a singular kernel and 0 otherwise.  A NaN is
+        passed on, for the caller to refuse or report.
         """
-        theta = np.asarray(theta, dtype=float)
-        zero = None if theta.min(initial=INF) > 0.0 else theta == 0.0
-        pair = self.derivatives(theta if zero is None else np.where(zero, np.pi, theta))
-        slope, bend = (v if isinstance(v, np.ndarray) and v.shape == theta.shape
-                       else np.full(theta.shape, v, dtype=float) for v in pair)
-        if zero is not None:
-            at_zero = -INF if self.value_at_zero == INF else 0.0
-            slope, bend = np.where(zero, at_zero, slope), np.where(zero, INF, bend)
-        return slope, bend
+        at_zero = -INF if self.value_at_zero == INF else 0.0
+        return _on_distances(self.derivatives or self._difference_quotient,
+                             theta, at_zero, INF)
 
     def _difference_quotient(self, d):
         # central, with a step relative to d > 0, symmetric at pi
         f_lo, f_hi, width = _folded_difference(self.fn, d, 6e-6)
         if np.isnan(f_lo).any() or np.isnan(f_hi).any():
             raise ValueError("kernel returned NaN")
-        return (f_hi - f_lo) / width
+        return (f_hi - f_lo) / width, INF
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -121,30 +113,29 @@ class Kernel:
 
 
 @np.errstate(over="ignore", divide="ignore")  # half the cost of a with block
-def _off_zero(fn, theta, at_zero):
-    """``fn`` at each ``theta`` >= 0, and ``at_zero`` where ``theta`` is 0.
+def _on_distances(fn, theta, *at_zero):
+    """Each output of ``fn`` at the distances ``theta`` >= 0, one per value
+    in ``at_zero``, which it takes where ``theta`` is 0.
 
-    Where no distance is 0, as in every pass but one that probes a node, an
-    array ``fn`` returns is passed on, with no mask and no copy.  A value
-    past the float range is +-inf, rightly, and warns on nothing.
+    ``fn`` is called once, with pi in place of each 0; a function of one
+    output returns it bare.  An array of ``theta``'s shape and of float
+    dtype is passed on with no copy, as in every pass but one that probes a
+    node; a scalar, an int array or ``theta`` itself is copied to a float
+    array.  A scalar ``theta`` gives numpy floats.  A value past the float
+    range is +-inf, rightly, and warns on nothing.
     """
     theta = np.asarray(theta, dtype=float)
-    value = None
-    if theta.min(initial=INF) > 0.0:
-        value = fn(theta)
-        if (isinstance(value, np.ndarray) and value.ndim and value is not theta
-                and value.shape == theta.shape and value.dtype == float):
-            return value
-    out = np.empty(theta.shape, dtype=float)
-    zero = theta == 0.0
-    if zero.any():
-        out[zero] = at_zero
-        nonzero = ~zero
-        if nonzero.any():
-            out[nonzero] = fn(theta[nonzero])
-    else:
-        out[...] = fn(theta) if value is None else value
-    return out[()]
+    zero = None if theta.min(initial=INF) > 0.0 else theta == 0.0
+    values = fn(theta if zero is None else np.where(zero, np.pi, theta))
+    out = []
+    for value, value_at_zero in zip(values if len(at_zero) > 1 else (values,), at_zero):
+        if not (isinstance(value, np.ndarray) and value.shape == theta.shape
+                and value.dtype == float and value is not theta):
+            value = np.full(theta.shape, value, dtype=float)
+        if zero is not None:
+            value = np.where(zero, value_at_zero, value)
+        out.append(value[()])
+    return out
 
 
 def _folded_difference(fn, d, step):

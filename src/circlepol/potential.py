@@ -6,9 +6,9 @@ potential restricted to one gap between consecutive nodes is convex, since
 the geodesic distance is concave inside a gap.  Its derivative therefore
 changes sign once on the gap, so each gap is searched for that sign change
 by safeguarded Newton steps, U'' being the sum of the kernel's f'' >= 0,
-or by secant steps for a kernel without ``derivatives``; the global
-minimum (the polarization of the configuration) is the best of the per-gap
-minima.
+and by secant steps where U'' is +inf, as for every kernel without
+``derivatives``; the global minimum (the polarization of the
+configuration) is the best of the per-gap minima.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = [
 _CERTIFIED_BITS = 32
 
 # a slope this small against its summed absolute terms has no certain sign.
-# It is set by kernels without derivatives of their own, which take the
-# difference quotient of Kernel.derivative.  Values computed from the chord
+# It is set by kernels without derivatives of their own, whose f' is the
+# difference quotient of Kernel._slope_and_curvature.  Values computed from the chord
 # carry its relative error, below 1.4 eps (about 2 ulp), so f(d +- h) is off
 # by up to about 1.4 * eps * d * |f'(d)|; divided by 2h = 1.2e-5 * d, that
 # leaves each term off by up to 2.8 * eps / 1.2e-5 = 5.2e-11 of its size,
@@ -112,36 +112,35 @@ def _potential_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndar
     return kernel.eval(np.abs(_signed_wrap(z[:, None] - nodes))).sum(axis=-1)
 
 
-def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """f'(d(z, x)) sign(z - x) for each probe ``z`` (rows) and node ``x``.
+def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray):
+    """f'(d(z, x)) sign(z - x) for each probe ``z`` (rows) and node ``x``,
+    and f''(d(z, x)), from one :meth:`Kernel._slope_and_curvature` call.
 
-    A row sums to the derivative of the potential at ``z``; negated, it is
-    the gradient of a gap minimum at ``z`` in the node positions (Danskin).
-    A node at the probe's antipode adds 0 (see :meth:`Kernel.derivative`),
-    and so does a node at the probe itself, unless the kernel is singular:
-    then the term is NaN.  Raises ``ValueError`` when the kernel yields NaN.
+    A row of terms sums to the derivative of the potential at ``z``, and of
+    f'' to its second derivative; the negated terms are the gradient of a
+    gap minimum at ``z`` in the node positions (Danskin).  A node at the
+    probe's antipode adds 0 (see :meth:`Kernel.derivative`), and so does a
+    node at the probe itself, unless the kernel is singular: then the term
+    is NaN.  Raises ``ValueError`` when the kernel yields NaN.
     """
     w = _signed_wrap(z[..., None] - nodes)
-    return kernel.derivative(np.abs(w)) * np.sign(w)
+    slope, curvature = kernel._slope_and_curvature(np.abs(w))
+    # a difference quotient, with its f'' of +inf, passes a NaN on
+    if (np.isnan(curvature) | np.isnan(slope) & (curvature < np.inf)).any():
+        raise ValueError("kernel derivatives returned NaN")
+    return slope * np.sign(w), curvature
 
 
 def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Row sums of the slope terms at each probe, stacked over the row sums
-    of their absolute values and, for a kernel with ``derivatives``, over
-    the potential's second derivative, the row sums of f''(d(z, x)).  f'
-    and f'' come from one call of that field."""
-    if kernel.derivatives is None:
-        terms, bend = _slope_terms(kernel, nodes, z), ()
-    else:
-        w = _signed_wrap(z[..., None] - nodes)
-        slope, curvature = kernel._slope_and_curvature(np.abs(w))
-        if np.isnan(slope).any() or np.isnan(curvature).any():
-            raise ValueError("kernel derivatives returned NaN")
-        terms, bend = slope * np.sign(w), (curvature.sum(axis=-1),)
+    of their absolute values and over the potential's second derivative,
+    the row sums of f''(d(z, x))."""
+    terms, curvature = _slope_terms(kernel, nodes, z)
     slope = terms.sum(axis=-1)
     # np.array builds what np.stack would at a fifth of its fixed cost,
     # which small configurations, with their many tiny passes, pay per pass
-    return np.array((slope, np.abs(terms, out=terms).sum(axis=-1), *bend))
+    return np.array((slope, np.abs(terms, out=terms).sum(axis=-1),
+                     curvature.sum(axis=-1)))
 
 
 def _rounding(n: int, value: float) -> float:
@@ -226,15 +225,17 @@ def _minimize_on_arcs(
 
     The potential is convex on such an arc, so its derivative rises through
     zero once there.  Each arc keeps a bracket of that root, all arcs at
-    once.  The first probe is the midpoint.  For a kernel with
-    ``derivatives`` the next probe is the Newton point p - U'(p) / U''(p)
-    from the last probe p, where it lies strictly inside the bracket and the
-    step is at most half the one before (``rtsafe``, *Numerical Recipes*,
-    sec. 9.4).  Otherwise, once the derivative is known at both ends of a
-    bracket, the next probe is the Anderson-Bjorck secant point (Anderson
-    and Bjorck, BIT 13, 1973), at least one float inside the bracket; until
-    then, the midpoint.  A kernel without ``derivatives`` takes exactly these
-    secant and midpoint steps.  Like Brent's method, the engine halves a
+    once.  The first probe is the midpoint.  The next probe is the Newton
+    point p - U'(p) / U''(p) from the last probe p, where it lies strictly
+    inside the bracket and the step is at most half the one before
+    (``rtsafe``, *Numerical Recipes*, sec. 9.4).  U'' = +inf, as on a node
+    and everywhere for a kernel without ``derivatives``, means no Newton
+    step: the Newton point is then p itself, an end of the bracket, or NaN.
+    Where no Newton point is taken, the probe is the Anderson-Bjorck secant
+    point (Anderson and Bjorck, BIT 13, 1973), at least one float inside
+    the bracket, once the derivative is known at both of its ends, and
+    until then the midpoint.
+    Like Brent's method, the engine halves a
     bracket when the steps stop shrinking it: after k probes a bracket
     wider than 2**(_CERTIFIED_BITS - k) of its arc is halved, Newton point
     or not, so every arc is done within 2 * _CERTIFIED_BITS + 1 probes.
@@ -256,7 +257,6 @@ def _minimize_on_arcs(
     s_lo, s_hi = np.full(m, -np.inf), np.full(m, np.inf)
     hi_moved = np.zeros(m, dtype=bool)  # which end the last probe replaced
     certified = lengths * 2.0 ** -_CERTIFIED_BITS
-    curved = kernel.derivatives is not None
     # U'' at each arc's last probe, and the length of the step that led
     # there: the first probe, the midpoint, is half an arc from either end
     bend, moved = np.empty(m), 0.5 * lengths
@@ -274,7 +274,7 @@ def _minimize_on_arcs(
                         np.nextafter(a, b), np.nextafter(b, a))
             halve = b - a > lengths[live] * 2.0 ** (_CERTIFIED_BITS - k)
             p = np.where(np.isfinite(fa) & np.isfinite(fb) & ~halve, p, mid[live])
-            if curved and k > 0:
+            if k > 0:
                 # rtsafe's Newton step (Numerical Recipes, sec. 9.4) from the
                 # last probe, the end it replaced, whose slope is kept exact;
                 # taken where it lands strictly inside the bracket and is at
@@ -284,7 +284,8 @@ def _minimize_on_arcs(
                 p = np.where((a < t) & (t < b) & ~halve
                              & (np.abs(t - last) <= 0.5 * moved[live]), t, p)
                 moved[live] = np.abs(p - last)
-            slope, size, *u2 = _row_sums(_slope_sums, kernel, nodes, p, owner[live])
+            slope, size, bend[live] = _row_sums(_slope_sums, kernel, nodes, p,
+                                                owner[live])
             flat = np.isnan(slope) | (np.isfinite(size)
                                       & (np.abs(slope) <= _SLOPE_NOISE * size))
             # Anderson-Bjorck: an end kept twice in a row has its slope
@@ -298,8 +299,6 @@ def _minimize_on_arcs(
             lo[live] = np.where(up & ~flat, a, p)
             hi[live] = np.where(up | flat, p, b)
             hi_moved[live] = up
-            if curved:
-                bend[live] = u2[0]
     # the midpoint of a bracket one float wide rounds onto an end, which may
     # be a node: keep it inside wherever the arc has an interior float
     z = np.clip(0.5 * (lo + hi), np.nextafter(starts, ends),

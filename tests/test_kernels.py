@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from circlepol import (CheckResult, Configuration, Kernel, ValidationReport,
                        equally_spaced, log_kernel,
@@ -93,6 +93,30 @@ def test_eval_vectorized_matches_scalar():
         scalar = k.eval(float(thetas[idx]))
         assert isinstance(scalar, np.float64)
         assert scalar == got[idx]
+
+
+@pytest.mark.parametrize("theta", [np.array([[0.5, 1.0], [2.0, math.pi]]),
+                                   np.array([0.0, 1.0, 0.0]), np.zeros(2)],
+                         ids=["positive", "zeros", "all-zero"])
+def test_eval_returns_a_fresh_float_array_and_never_calls_fn_at_zero(theta):
+    calls = []
+
+    def record(value):
+        def fn(t):
+            calls.append(np.array(t, copy=True))
+            return value(t)
+        return fn
+    got = Kernel(record(lambda t: t), 7.0).eval(theta)
+    assert got is not theta and not np.shares_memory(got, theta)
+    assert_array_equal(got, np.where(theta == 0.0, 7.0, theta))
+    for value in (lambda t: 1.0, lambda t: 3, lambda t: np.ones(np.shape(t), dtype=int)):
+        got = Kernel(record(value), 7.0).eval(theta)
+        assert got.dtype == np.float64 and got.shape == theta.shape
+        assert_array_equal(got, np.where(theta == 0.0, 7.0, value(theta)))
+    for scalar in (0.5, np.float64(0.5), np.array(0.5), 0.0, 2):
+        for value in (lambda t: t, lambda t: 1.0, lambda t: 3):
+            assert type(Kernel(record(value), 7.0).eval(scalar)) is np.float64
+    assert calls and all((np.asarray(t) != 0.0).all() for t in calls)
 
 
 @pytest.mark.parametrize("kind, s", [("riesz", 0.5), ("riesz", 2.0), ("riesz", 20.0),

@@ -1,7 +1,9 @@
 """The package's public names: a fixed list, each one a module's export."""
 
+import ast
 import dataclasses
 import importlib
+import pathlib
 import pkgutil
 
 import circlepol
@@ -48,3 +50,24 @@ def test_a_kernel_has_one_derivatives_field():
     # let a kernel state f' twice, or declare one without the other
     fields = [f.name for f in dataclasses.fields(circlepol.Kernel) if f.init]
     assert fields == ["fn", "value_at_zero", "label", "derivatives"]
+
+
+def test_derivatives_are_read_in_one_method_and_the_validator():
+    # every pass takes (f', f'') from Kernel._slope_and_curvature, which
+    # gives a kernel without derivatives a difference quotient and f'' =
+    # +inf; a read anywhere else would fork the evaluation path again
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr == "derivatives"
+                and isinstance(node.ctx, ast.Load)):
+            reads.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(pathlib.Path(circlepol.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert sorted(reads) == ["kernels.Kernel._slope_and_curvature",
+                             "kernels.validate_kernel"]
