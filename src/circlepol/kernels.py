@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -45,9 +45,9 @@ class Kernel:
     distance to a node folds back, so that the potential's slope is 0 at
     the node's antipode.  Without it, f' is a difference quotient of ``fn``
     and f'' is +inf, which the arc search reads as no Newton step, as on a
-    node: it takes secant and midpoint steps there.  The arc search rests on ``fn`` being
-    non-increasing, convex and neither NaN nor -inf, and on ``derivatives``
-    being its first two derivatives: it refuses a kernel whose
+    node: it takes secant and midpoint steps there.  The arc search rests
+    on ``fn`` being non-increasing, convex and neither NaN nor -inf, and on
+    ``derivatives`` being its first two derivatives: it refuses a kernel whose
     :func:`validate_kernel` report fails any of these checks, and computes
     that report once per kernel.  Strict convexity, which bears only on
     whether the maximizer is unique, is read off the same report, not
@@ -74,33 +74,26 @@ class Kernel:
 
         The shipped kernels' f' and the difference are 0 at pi.  At 0 it is
         -inf for a singular kernel and 0 otherwise, the symmetric derivative
-        of f(|theta|), so that a node adds no slope term at a probe on it.
-        Raises ``ValueError`` when the kernel yields NaN.
+        of f(|theta|), so that a node adds no slope term at a probe on it;
+        so is the difference below about 4.1e-319, where its step rounds
+        to 0.  Raises ``ValueError`` when the kernel yields NaN.
         """
-        slope, curvature = self._slope_and_curvature(theta)
-        # a difference quotient, with its f'' of +inf, passes a NaN on
-        if (np.isnan(slope) & (curvature < INF)).any():
+        slope, _ = self._slope_and_curvature(theta)
+        if np.isnan(slope).any():
             raise ValueError("kernel derivatives returned NaN")
         return slope
 
     def _slope_and_curvature(self, theta):
-        """f' and f'' at each distance ``theta`` in [0, pi], from one call,
-        as arrays of its shape; the one place the package reads
-        ``derivatives``.  A kernel without them gets the difference quotient
-        of ``fn`` and f'' = +inf, which, like f'' at 0, gives no Newton step.
-        At 0, f' is -inf for a singular kernel and 0 otherwise.  A NaN is
-        passed on, for the caller to refuse or report.
+        """f' and f'' at each distance ``theta`` in [0, pi], as arrays of its
+        shape, from one call of ``derivatives``, the one place the package
+        reads them, or else of the difference quotient of ``fn``, with f'' =
+        +inf: no Newton step, as at 0.  At 0, f' is -inf for a singular
+        kernel and 0 otherwise.  A NaN is passed on, for the caller to refuse.
         """
         at_zero = -INF if self.value_at_zero == INF else 0.0
-        return _on_distances(self.derivatives or self._difference_quotient,
+        return _on_distances(self.derivatives
+                             or partial(_difference_quotient, self.fn, at_zero),
                              theta, at_zero, INF)
-
-    def _difference_quotient(self, d):
-        # central, with a step relative to d > 0, symmetric at pi
-        f_lo, f_hi, width = _folded_difference(self.fn, d, 6e-6)
-        if np.isnan(f_lo).any() or np.isnan(f_hi).any():
-            raise ValueError("kernel returned NaN")
-        return (f_hi - f_lo) / width, INF
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -112,7 +105,7 @@ class Kernel:
         return self._report.strictly_convex.passed
 
 
-@np.errstate(over="ignore", divide="ignore")  # half the cost of a with block
+@np.errstate(all="ignore")  # half the cost of a with block
 def _on_distances(fn, theta, *at_zero):
     """Each output of ``fn`` at the distances ``theta`` >= 0, one per value
     in ``at_zero``, which it takes where ``theta`` is 0.
@@ -122,7 +115,7 @@ def _on_distances(fn, theta, *at_zero):
     dtype is passed on with no copy, as in every pass but one that probes a
     node; a scalar, an int array or ``theta`` itself is copied to a float
     array.  A scalar ``theta`` gives numpy floats.  A value past the float
-    range is +-inf, rightly, and warns on nothing.
+    range is +-inf, rightly.  Nothing warns; a NaN is the caller's to refuse.
     """
     theta = np.asarray(theta, dtype=float)
     zero = None if theta.min(initial=INF) > 0.0 else theta == 0.0
@@ -136,6 +129,19 @@ def _on_distances(fn, theta, *at_zero):
             value = np.where(zero, value_at_zero, value)
         out.append(value[()])
     return out
+
+
+def _difference_quotient(fn, at_zero, d):
+    """f' of ``fn`` at distances ``d`` > 0, a central difference with a step
+    h relative to ``d``, symmetric at pi, and f'' = +inf.  A NaN ``fn``
+    raises; f' is -inf where f(d - h) is +inf and ``at_zero`` where h is 0."""
+    f_lo, f_hi, width = _folded_difference(fn, d, 6e-6)
+    slope = (f_hi - f_lo) / width
+    if np.isnan(slope).any():  # one reduction finds all three, off the common path
+        if np.isnan(f_lo).any() or np.isnan(f_hi).any():
+            raise ValueError("kernel returned NaN")
+        slope = np.where(width > 0.0, np.where(f_lo == INF, -INF, slope), at_zero)
+    return slope, INF
 
 
 def _folded_difference(fn, d, step):

@@ -75,8 +75,17 @@ def test_singular_kernels_return_inf_at_zero():
     (lambda: riesz_kernel(400).derivative(1e-3), -math.inf),
     (lambda: power_kernel(0.5).derivative(5e-324), -0.5 * 5e-324 ** -0.5),
     (lambda: power_kernel(1.0).derivative(5e-324), -1.0),
+    # a difference quotient whose step rounds to 0 takes f' at distance 0
+    (lambda: Kernel(lambda t: math.pi - t, math.pi).derivative(
+        np.array([5e-324, 1e-320, 4e-319])).tolist(), [0.0, 0.0, 0.0]),
+    (lambda: dataclasses.replace(log_kernel(), derivatives=None).derivative(
+        np.array([5e-324, 4e-319])).tolist(), [-math.inf, -math.inf]),
+    # and one whose fn is +inf on both sides is -inf, as riesz400's f' is
+    (lambda: dataclasses.replace(riesz_kernel(20), derivatives=None).derivative(1e-20),
+     -math.inf),
 ], ids=["riesz400-eval", "log-derivative", "riesz2-derivative", "array",
-       "riesz400-derivative", "power0.5-derivative", "power1-derivative"])
+       "riesz400-derivative", "power0.5-derivative", "power1-derivative",
+       "quotient-step-0", "singular-quotient-step-0", "quotient-overflow"])
 def test_values_past_the_float_range_are_inf_without_a_warning(call, expected):
     # the suite turns a RuntimeWarning into an error, so an overflow
     # warning from the power or the division would fail here; derivative
