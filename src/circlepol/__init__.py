@@ -10,12 +10,11 @@ inverse-power exponents, exact rational closed forms from even zeta values
 and the Taylor coefficients of powers of sinc.  Every search for a minimum
 refuses a kernel that fails a check of ``validate_kernel``: a NaN or -inf
 value, an increase, a midpoint above its chord, or declared derivatives
-that are not the kernel's.  The search takes Newton steps on the
-kernel's f''; f'' = +inf, as on a node and everywhere for a kernel without
-declared derivatives, whose f' is a difference quotient, means no Newton
-step, and the probe is the secant point or the midpoint.  Evaluating a
-potential takes any kernel, and every function that sums potentials
-raises on a NaN kernel value.
+that are not the kernel's.  It takes Newton steps on the kernel's f'';
+f'' = +inf, at a node and for a kernel without declared derivatives,
+means no Newton step: the probe is the secant point or the midpoint.
+Evaluating a potential takes any kernel, and every function that sums
+potentials raises on a NaN kernel value.
 
 The public surface is each module's ``__all__``; the package's is their
 union.

@@ -37,14 +37,15 @@ __all__ = [
 _CERTIFIED_BITS = 32
 
 # a slope this small against its summed absolute terms has no certain sign.
-# It is set by kernels without derivatives of their own, whose f' is the
-# difference quotient of Kernel._slope_and_curvature.  Values computed from the chord
-# carry its relative error, below 1.4 eps (about 2 ulp), so f(d +- h) is off
-# by up to about 1.4 * eps * d * |f'(d)|; divided by 2h = 1.2e-5 * d, that
-# leaves each term off by up to 2.8 * eps / 1.2e-5 = 5.2e-11 of its size,
-# and this is twice that.  The shipped kernels' analytic slopes are within
-# a few ulp of each term, so for them an arc stops on this test only where
-# U' is zero to ten digits, and the value there is the minimum to rounding.
+# It is set by kernels without derivatives of their own, whose f' is a
+# difference quotient, with f'' = +inf: no Newton step, so the probe is the
+# secant point or the midpoint.  Values computed from the chord carry its
+# relative error, below 1.4 eps (about 2 ulp), so f(d +- h) is off by up to
+# about 1.4 * eps * d * |f'(d)|; divided by 2h = 1.2e-5 * d, that leaves
+# each term off by up to 2.8 * eps / 1.2e-5 = 5.2e-11 of its size, and this
+# is twice that.  The shipped kernels' analytic slopes are within a few ulp
+# of each term, so for them an arc stops on this test only where U' is zero
+# to ten digits, and the value there is the minimum to rounding.
 _SLOPE_NOISE = 1e-10
 
 # (probe, node) pairs per block of a pass.  Each temporary of a block is
@@ -117,11 +118,12 @@ def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray):
     and f''(d(z, x)), from one :meth:`Kernel._slope_and_curvature` call.
 
     A row of terms sums to the derivative of the potential at ``z``, and of
-    f'' to its second derivative; the negated terms are the gradient of a
-    gap minimum at ``z`` in the node positions (Danskin).  A node at the
-    probe's antipode adds 0 (see :meth:`Kernel.derivative`), and so does a
-    node at the probe itself, unless the kernel is singular: then the term
-    is NaN.  Raises ``ValueError`` when the kernel yields NaN.
+    f'' to its second derivative: +inf, which means no Newton step, at a
+    node and for a kernel without ``derivatives``.  The negated terms are
+    the gradient of a gap minimum at ``z`` in the node positions (Danskin).
+    A node at the probe's antipode adds 0 (see :meth:`Kernel.derivative`),
+    and so does a node at the probe itself, unless the kernel is singular:
+    then the term is NaN.  Raises ``ValueError`` when the kernel yields NaN.
     """
     w = _signed_wrap(z[..., None] - nodes)
     slope, curvature = kernel._slope_and_curvature(np.abs(w))
@@ -233,8 +235,7 @@ def _minimize_on_arcs(
     Where no Newton point is taken, the probe is the Anderson-Bjorck secant
     point (Anderson and Bjorck, BIT 13, 1973), at least one float inside
     the bracket, once the derivative is known at both of its ends, and
-    until then the midpoint.
-    Like Brent's method, the engine halves a
+    until then the midpoint.  Like Brent's method, the engine halves a
     bracket when the steps stop shrinking it: after k probes a bracket
     wider than 2**(_CERTIFIED_BITS - k) of its arc is halved, Newton point
     or not, so every arc is done within 2 * _CERTIFIED_BITS + 1 probes.
