@@ -10,9 +10,9 @@ inverse-power exponents, exact rational closed forms from even zeta values
 and the Taylor coefficients of powers of sinc.  Every search for a minimum
 refuses a kernel that fails a check of ``validate_kernel``: a NaN or -inf
 value, an increase, a midpoint above its chord, or declared derivatives
-that are not the kernel's.  It takes Newton steps on the kernel's f'';
-f'' = +inf, at a node and for a kernel without declared derivatives,
-means no Newton step: the probe is the secant point or the midpoint.
+that are not the kernel's.  Its step is the Newton point from f''
+(declared, or a second difference of the kernel's ``fn``), else the secant
+point of the true slopes at the bracket's ends, else the midpoint.
 Evaluating a potential takes any kernel, and every function that sums
 potentials raises on a NaN kernel value.
 

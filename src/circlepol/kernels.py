@@ -43,15 +43,14 @@ class Kernel:
     when given, maps the same distances to the pair ``(f', f'')`` from one
     evaluation; the shipped kernels' f' is exactly 0 at pi, where the
     distance to a node folds back, so that the potential's slope is 0 at
-    the node's antipode.  Without it, f' is a difference quotient of ``fn``
-    and f'' is +inf, which the arc search reads as no Newton step, as on a
-    node: it takes secant and midpoint steps there.  The arc search rests
-    on ``fn`` being non-increasing, convex and neither NaN nor -inf, and on
-    ``derivatives`` being its first two derivatives: it refuses a kernel whose
-    :func:`validate_kernel` report fails any of these checks, and computes
-    that report once per kernel.  Strict convexity, which bears only on
-    whether the maximizer is unique, is read off the same report, not
-    declared.
+    the node's antipode.  Without it, f' and f'' are differences of ``fn``,
+    and the arc search steps on them as on declared ones.  The arc search
+    rests on ``fn`` being non-increasing, convex and neither NaN nor -inf,
+    and on ``derivatives`` being its first two derivatives: it refuses a
+    kernel whose :func:`validate_kernel` report fails any of these checks,
+    and computes that report once per kernel.  Strict convexity, which
+    bears only on whether the maximizer is unique, is read off the same
+    report, not declared.
 
     The fields, ``fn`` included, are raw callables, which may warn where a
     value leaves the float range; :meth:`eval` and :meth:`derivative` are
@@ -86,9 +85,9 @@ class Kernel:
     def _slope_and_curvature(self, theta):
         """f' and f'' at each distance ``theta`` in [0, pi], as arrays of its
         shape, from one call of ``derivatives``, the one place the package
-        reads them, or else of the difference quotient of ``fn``, with f'' =
-        +inf: no Newton step, as at 0.  At 0, f' is -inf for a singular
-        kernel and 0 otherwise.  A NaN is passed on, for the caller to refuse.
+        reads them, or else of :func:`_difference_quotient`.  At 0, f' is
+        -inf for a singular kernel and 0 otherwise, and f'' is +inf: no
+        Newton step.  A NaN is passed on, for the caller to refuse.
         """
         at_zero = -INF if self.value_at_zero == INF else 0.0
         return _on_distances(self.derivatives
@@ -132,16 +131,21 @@ def _on_distances(fn, theta, *at_zero):
 
 
 def _difference_quotient(fn, at_zero, d):
-    """f' of ``fn`` at distances ``d`` > 0, a central difference with a step
-    h relative to ``d``, symmetric at pi, and f'' = +inf.  A NaN ``fn``
-    raises; f' is -inf where f(d - h) is +inf and ``at_zero`` where h is 0."""
+    """f' and f'' of ``fn`` at ``d`` > 0, central differences with a step h
+    relative to ``d``, symmetric at pi.  A NaN ``fn`` raises.  f' is -inf
+    where f(d - h) is +inf and ``at_zero`` where h is 0.  f'' is +inf, no
+    Newton step, where f(d - h) - 2f(d) + f(d + h) is at most its rounding,
+    8 eps (|f(d - h)| + 2|f(d)| + |f(d + h)|), as on a linear piece."""
     f_lo, f_hi, width = _folded_difference(fn, d, 6e-6)
+    f_mid = fn(d)
     slope = (f_hi - f_lo) / width
-    if np.isnan(slope).any():  # one reduction finds all three, off the common path
-        if np.isnan(f_lo).any() or np.isnan(f_hi).any():
+    rise = f_hi - 2.0 * f_mid + f_lo
+    if np.isnan(slope + rise).any():  # one reduction, off the common path
+        if np.isnan(f_lo).any() or np.isnan(f_hi).any() or np.isnan(f_mid).any():
             raise ValueError("kernel returned NaN")
         slope = np.where(width > 0.0, np.where(f_lo == INF, -INF, slope), at_zero)
-    return slope, INF
+    noise = 8.0 * np.finfo(float).eps * (abs(f_lo) + 2.0 * abs(f_mid) + abs(f_hi))
+    return slope, np.where(rise > noise, rise / (0.5 * width) ** 2, INF)
 
 
 def _folded_difference(fn, d, step):

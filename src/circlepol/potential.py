@@ -6,9 +6,9 @@ potential restricted to one gap between consecutive nodes is convex, since
 the geodesic distance is concave inside a gap.  Its derivative therefore
 changes sign once on the gap, so each gap is searched for that sign change
 by safeguarded Newton steps, U'' being the sum of the kernel's f'' >= 0,
-and by secant steps where U'' is +inf, as for every kernel without
-``derivatives``; the global minimum (the polarization of the
-configuration) is the best of the per-gap minima.
+and by secant steps on the true slopes at the bracket's ends where U'' is
++inf; the global minimum (the polarization of the configuration) is the
+best of the per-gap minima.
 """
 
 from __future__ import annotations
@@ -37,15 +37,14 @@ __all__ = [
 _CERTIFIED_BITS = 32
 
 # a slope this small against its summed absolute terms has no certain sign.
-# It is set by kernels without derivatives of their own, whose f' is a
-# difference quotient, with f'' = +inf: no Newton step, so the probe is the
-# secant point or the midpoint.  Values computed from the chord carry its
-# relative error, below 1.4 eps (about 2 ulp), so f(d +- h) is off by up to
-# about 1.4 * eps * d * |f'(d)|; divided by 2h = 1.2e-5 * d, that leaves
-# each term off by up to 2.8 * eps / 1.2e-5 = 5.2e-11 of its size, and this
-# is twice that.  The shipped kernels' analytic slopes are within a few ulp
-# of each term, so for them an arc stops on this test only where U' is zero
-# to ten digits, and the value there is the minimum to rounding.
+# It is set by kernels without derivatives, whose f' is a difference
+# quotient.  Values computed from the chord carry its relative error, below
+# 1.4 eps (about 2 ulp), so f(d +- h) is off by up to about
+# 1.4 * eps * d * |f'(d)|; divided by 2h = 1.2e-5 * d, that leaves each term
+# off by up to 2.8 * eps / 1.2e-5 = 5.2e-11 of its size, and this is twice
+# that.  The shipped kernels' analytic slopes are within a few ulp of each
+# term, so for them an arc stops on this test only where U' is zero to ten
+# digits, and the value there is the minimum to rounding.
 _SLOPE_NOISE = 1e-10
 
 # (probe, node) pairs per block of a pass.  Each temporary of a block is
@@ -119,11 +118,12 @@ def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray):
 
     A row of terms sums to the derivative of the potential at ``z``, and of
     f'' to its second derivative: +inf, which means no Newton step, at a
-    node and for a kernel without ``derivatives``.  The negated terms are
-    the gradient of a gap minimum at ``z`` in the node positions (Danskin).
-    A node at the probe's antipode adds 0 (see :meth:`Kernel.derivative`),
-    and so does a node at the probe itself, unless the kernel is singular:
-    then the term is NaN.  Raises ``ValueError`` when the kernel yields NaN.
+    node, where f'' overflows and where a difference of ``fn`` is linear.
+    The negated terms are the gradient of a gap minimum at ``z`` in the
+    node positions (Danskin).  A node at the probe's antipode adds 0 (see
+    :meth:`Kernel.derivative`), and so does a node at the probe itself,
+    unless the kernel is singular: then the term is NaN.  Raises
+    ``ValueError`` when the kernel yields NaN.
     """
     w = _signed_wrap(z[..., None] - nodes)
     slope, curvature = kernel._slope_and_curvature(np.abs(w))
@@ -225,20 +225,19 @@ def _minimize_on_arcs(
     same result bit for bit, whichever arcs it is minimized with.
 
     The potential is convex on such an arc, so its derivative rises through
-    zero once there.  Each arc keeps a bracket of that root, all arcs at
-    once.  The first probe is the midpoint.  The next probe is the Newton
-    point p - U'(p) / U''(p) from the last probe p, where it lies strictly
-    inside the bracket and the step is at most half the one before
-    (``rtsafe``, *Numerical Recipes*, sec. 9.4).  U'' = +inf, as on a node
-    and everywhere for a kernel without ``derivatives``, means no Newton
-    step: the Newton point is then p itself, an end of the bracket, or NaN.
-    Where no Newton point is taken, the probe is the Anderson-Bjorck secant
-    point (Anderson and Bjorck, BIT 13, 1973), at least one float inside
-    the bracket, once the derivative is known at both of its ends, and
-    until then the midpoint.  Like Brent's method, the engine halves a
-    bracket when the steps stop shrinking it: after k probes a bracket
-    wider than 2**(_CERTIFIED_BITS - k) of its arc is halved, Newton point
-    or not, so every arc is done within 2 * _CERTIFIED_BITS + 1 probes.
+    zero once there.  Each arc keeps a bracket of that root and the true
+    slopes at its ends, all arcs at once.  The first probe is the midpoint.
+    The next is the Newton point p - U'(p) / U''(p) from the last probe p,
+    where it lies strictly inside the bracket and the step is at most half
+    the one before (``rtsafe``, *Numerical Recipes*, sec. 9.4); U'' = +inf,
+    as on a node, means none.  Else it is the secant point of the end slopes
+    (regula falsi), at least one float inside the bracket, once both are
+    known; else the midpoint, which also follows two probes that replaced
+    the same end, the last with U'' = +inf: regula falsi would creep toward
+    the root from that side.  Like Brent's method, the engine halves a
+    bracket when the steps stop shrinking it: after k probes a bracket wider
+    than 2**(_CERTIFIED_BITS - k) of its arc is halved, Newton point or not,
+    so every arc is done within 2 * _CERTIFIED_BITS + 1 probes.
     A probe whose slope is zero, below its rounding noise or NaN collapses
     the bracket onto itself.  An arc leaves the active set once its bracket
     is certified or has no float inside, and its argmin is the bracket's
@@ -256,6 +255,7 @@ def _minimize_on_arcs(
     # as unknown until a probe replaces them
     s_lo, s_hi = np.full(m, -np.inf), np.full(m, np.inf)
     hi_moved = np.zeros(m, dtype=bool)  # which end the last probe replaced
+    stalled = np.zeros(m, dtype=bool)  # regula falsi creeps: take the midpoint
     certified = lengths * 2.0 ** -_CERTIFIED_BITS
     # U'' at each arc's last probe, and the length of the step that led
     # there: the first probe, the midpoint, is half an arc from either end
@@ -272,32 +272,28 @@ def _minimize_on_arcs(
             a, b, fa, fb = lo[live], hi[live], s_lo[live], s_hi[live]
             p = np.clip(b - fb * ((b - a) / (fb - fa)),
                         np.nextafter(a, b), np.nextafter(b, a))
-            halve = b - a > lengths[live] * 2.0 ** (_CERTIFIED_BITS - k)
+            halve = stalled[live] | (b - a > lengths[live] * 2.0 ** (_CERTIFIED_BITS - k))
             p = np.where(np.isfinite(fa) & np.isfinite(fb) & ~halve, p, mid[live])
             if k > 0:
                 # rtsafe's Newton step (Numerical Recipes, sec. 9.4) from the
-                # last probe, the end it replaced, whose slope is kept exact;
-                # taken where it lands strictly inside the bracket and is at
-                # most half as long as the step before
+                # last probe, the end it replaced; taken where it lands
+                # strictly inside the bracket and is at most half as long as
+                # the step before
                 last = np.where(hi_moved[live], b, a)
                 t = last - np.where(hi_moved[live], fb, fa) / bend[live]
                 p = np.where((a < t) & (t < b) & ~halve
                              & (np.abs(t - last) <= 0.5 * moved[live]), t, p)
                 moved[live] = np.abs(p - last)
-            slope, size, bend[live] = _row_sums(_slope_sums, kernel, nodes, p,
-                                                owner[live])
+            slope, size, curve = _row_sums(_slope_sums, kernel, nodes, p, owner[live])
+            bend[live] = curve
             flat = np.isnan(slope) | (np.isfinite(size)
                                       & (np.abs(slope) <= _SLOPE_NOISE * size))
-            # Anderson-Bjorck: an end kept twice in a row has its slope
-            # scaled down, so the next secant point moves toward it
             up = slope > 0.0
-            ratio = 1.0 - slope / np.where(up, fb, fa)
-            shrink = np.where(hi_moved[live] == up,
-                              np.where(ratio > 0.0, ratio, 0.5), 1.0)
-            s_lo[live] = np.where(up, fa * shrink, slope)
-            s_hi[live] = np.where(up, slope, fb * shrink)
+            s_lo[live] = np.where(up, fa, slope)
+            s_hi[live] = np.where(up, slope, fb)
             lo[live] = np.where(up & ~flat, a, p)
             hi[live] = np.where(up | flat, p, b)
+            stalled[live] = (hi_moved[live] == up) & (curve == np.inf)
             hi_moved[live] = up
     # the midpoint of a bracket one float wide rounds onto an end, which may
     # be a node: keep it inside wherever the arc has an interior float

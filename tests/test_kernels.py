@@ -13,6 +13,7 @@ from circlepol import (CheckResult, Configuration, Kernel, ValidationReport,
                        perturbation_test, polarization, potential_values,
                        power_kernel, riesz_kernel, solve_transport,
                        validate_kernel)
+from circlepol.kernels import SLOPE_TOL
 
 
 def chord(theta):
@@ -236,6 +237,42 @@ def test_derivative_at_zero_and_without_a_slope():
     assert_allclose(quotient.derivative(theta), k.derivative(theta), rtol=1e-7)
     assert quotient.derivative(math.pi) == 0.0
     assert quotient.derivative(0.0) == -math.inf
+
+
+# the validator's grid, (0, pi] in 1024 equal steps
+_GRID = math.pi * np.arange(1, 1025) / 1024
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), riesz_kernel(20), log_kernel(),
+                                    power_kernel(0.5)], ids=lambda k: k.label)
+def test_the_quotient_curvature_follows_the_declared_one(kernel):
+    # the second difference of fn, within the validator's SLOPE_TOL of the
+    # declared f''; seen at most 5.2e-5, for log next to 0.  Within 1e-3 of
+    # pi the folded step straddles pi, where f'' comes from f' = 0
+    theta = _GRID[_GRID < math.pi - 1e-3]
+    _, want = kernel._slope_and_curvature(theta)
+    _, got = dataclasses.replace(kernel, derivatives=None)._slope_and_curvature(theta)
+    assert (np.abs(got - want) <= SLOPE_TOL * want).all()
+
+
+@pytest.mark.parametrize("fn, value_at_zero, finite", [
+    (lambda t: math.pi - t, math.pi, [math.pi]),
+    (lambda t: np.maximum(1.0 - t, 0.0), 1.0, []),
+], ids=["pi - t", "max(1-t,0)"])
+def test_the_quotient_has_no_curvature_on_a_linear_piece(fn, value_at_zero, finite):
+    # a second difference within its rounding is +inf, no Newton step; pi - t
+    # folded at pi has a kink there, and a finite f''
+    _, bend = Kernel(fn, value_at_zero)._slope_and_curvature(_GRID)
+    assert _GRID[np.isfinite(bend)].tolist() == finite
+    assert (bend > 0.0).all()
+
+
+def test_a_nan_between_the_quotient_steps_raises():
+    # fn is NaN at distance 1 alone: f(1 - h) and f(1 + h) are clear, and
+    # the second difference takes f(1) as well
+    k = Kernel(lambda t: np.where(t == 1.0, np.nan, math.pi - t), math.pi)
+    with pytest.raises(ValueError, match="^kernel returned NaN$"):
+        k.derivative(np.array([0.5, 1.0]))
 
 
 def test_factory_parameter_validation():

@@ -24,6 +24,9 @@ KERNELS = [
     riesz_kernel(2), log_kernel(), power_kernel(0.5), riesz_kernel(8),
     Kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, "(pi-t)^2"),
     Kernel(lambda t: np.maximum(1.0 - t, 0.0), 1.0, "max(1-t,0)"),
+    # f' and f'' from differences of fn, and the second difference's
+    # rounding gate, relative to the values
+    Kernel(riesz_kernel(2).fn, math.inf, "riesz:2-quotient"),
 ]
 
 # equal spacing and one random configuration at each n
