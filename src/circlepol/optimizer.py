@@ -38,10 +38,10 @@ class OptimizeOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be at least 0")
+        for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -129,6 +129,21 @@ def test_maximize_validation():
         restarts=1, max_iters=0)).per_restart[0].iterations == 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 2.5), ("restarts", 3.0), ("max_iters", 1.5), ("max_iters", None),
+    ("seed", 1.5), ("seed", "1"), ("seed", -1)])
+def test_options_refuse_what_would_fail_later(field, value):
+    # each of these failed only inside range() or numpy's seeding, with a
+    # TypeError or numpy's message that does not name the option
+    with pytest.raises(ValueError, match=field):
+        OptimizeOptions(**{field: value})
+
+
+def test_options_take_numpy_integers():
+    opts = OptimizeOptions(restarts=np.int64(2), max_iters=np.int32(5), seed=np.uint8(3))
+    assert maximize_polarization(log_kernel(), 3, opts).seed == 3
+
+
 @pytest.mark.parametrize("kernel", [log_kernel(), riesz_kernel(1.0),
                                     riesz_kernel(2.0), riesz_kernel(4.0),
                                     power_kernel(0.5)],
