@@ -401,7 +401,7 @@ def test_secant_steps_take_few_slope_passes(kernel):
                                                 power_kernel(0.5)]))
 def test_newton_steps_take_few_slope_passes(kernel):
     # 3.2 (riesz:2), 3.7 (log) and 4.2 (power:0.5) passes per gap on
-    # average, and 3.2, 3.8 and 4.3 with f'' from the second difference of
+    # average, and 3.2, 3.8 and 4.2 with f'' from the second difference of
     # fn; secant steps alone took 6.4 to 6.5
     rng = np.random.default_rng(31)
     passes = [p for n in rng.integers(2, 9, 60)
@@ -410,14 +410,15 @@ def test_newton_steps_take_few_slope_passes(kernel):
 
 
 @pytest.mark.parametrize("kernel", [
-    riesz_kernel(400), _HARD_KERNELS[-1],
+    riesz_kernel(400), Kernel(lambda t: math.pi - t, math.pi, label="pi - t"),
     Kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2, label="(pi - t)**2")],
     ids=lambda k: k.label)
 def test_secant_steps_do_not_creep_without_a_curvature(kernel):
-    # where U'' is +inf, on a piecewise linear potential or where riesz:400's
-    # f'' overflows, regula falsi can keep one bracket end while the other
-    # creeps toward the root: then the midpoint follows.  Without that the
-    # worst arcs take 65, 59 and 58 passes; with it 17, 34 and 35
+    # where U'' is +inf (riesz:400's f'' overflows, pi - t is linear, and
+    # next to a node the second difference of (pi - t)**2 is within its
+    # rounding) regula falsi can keep one bracket end while the other creeps
+    # toward the root: then the midpoint follows.  Without that the worst
+    # arcs take 65, 59 and 58 passes; with it 17, 34 and 35
     for c in _hard_configs():
         assert max(_slope_passes(kernel, c)) <= 40
 
