@@ -40,13 +40,15 @@ class Kernel:
     ``fn`` must accept positive floats (scalars or numpy arrays) in
     (0, pi] and evaluate elementwise; ``value_at_zero`` is the limit of
     ``fn`` at 0 from the right, possibly ``math.inf``.  ``derivatives``,
-    when given, maps the same distances to the pair ``(f', f'')`` from one
-    evaluation; the shipped kernels' f' is exactly 0 at pi, where the
-    distance to a node folds back, so that the potential's slope is 0 at
-    the node's antipode.  Without it, f' and f'' are differences of ``fn``,
-    and the arc search steps on them as on declared ones.  The arc search
-    rests on ``fn`` being non-increasing, convex and neither NaN nor -inf,
-    and on ``derivatives`` being its first two derivatives: it refuses a
+    when given, maps the same distances to the jet ``(f, f', f'')`` from one
+    evaluation, like ``rtsafe``'s ``funcd`` (*Numerical Recipes*, sec. 9.4);
+    the shipped kernels' f is ``fn``'s bit for bit, and their f' is exactly
+    0 at pi, where the distance to a node folds back, so that the
+    potential's slope is 0 at the node's antipode.  Without it, f is ``fn``
+    and f' and f'' its differences, and the arc search steps on them as on
+    declared ones.  The arc search rests on ``fn`` being non-increasing,
+    convex and neither NaN nor -inf, and on the jet being ``fn`` and its
+    first two derivatives: it refuses a
     kernel whose :func:`validate_kernel` report fails any of these checks,
     and computes that report once per kernel.  Strict convexity, which
     bears only on whether the maximizer is unique, is read off the same
@@ -67,9 +69,9 @@ class Kernel:
         return _on_distances(self.fn, theta, self.value_at_zero)[0]
 
     def derivative(self, theta):
-        """f' at each distance ``theta`` in [0, pi], from
-        :meth:`_slope_and_curvature`: the declared ``derivatives``, or a
-        central difference of ``fn`` with a step relative to ``theta``.
+        """f' at each distance ``theta`` in [0, pi], from :meth:`_jet`: the
+        declared ``derivatives``, or a central difference of ``fn`` with a
+        step relative to ``theta``.
 
         The shipped kernels' f' and the difference are 0 at pi.  At 0 it is
         -inf for a singular kernel and 0 otherwise, the symmetric derivative
@@ -77,22 +79,22 @@ class Kernel:
         so is the difference below about 4.1e-319, where its step rounds
         to 0.  Raises ``ValueError`` when the kernel yields NaN.
         """
-        slope, _ = self._slope_and_curvature(theta)
+        slope = self._jet(theta)[1]
         if np.isnan(slope).any():
             raise ValueError("kernel derivatives returned NaN")
         return slope
 
-    def _slope_and_curvature(self, theta):
-        """f' and f'' at each distance ``theta`` in [0, pi], as arrays of its
-        shape, from one call of ``derivatives``, the one place the package
-        reads them, or else of :func:`_difference_quotient`.  At 0, f' is
-        -inf for a singular kernel and 0 otherwise, and f'' is +inf: no
+    def _jet(self, theta):
+        """f, f' and f'' at each distance ``theta`` in [0, pi], as arrays of
+        its shape, from one call of ``derivatives``, the one place the
+        package reads them, or else of :func:`_difference_quotient`.  At 0
+        they are ``value_at_zero``, -inf or 0 (singular or not) and +inf: no
         Newton step.  A NaN is passed on, for the caller to refuse.
         """
         at_zero = -INF if self.value_at_zero == INF else 0.0
         return _on_distances(self.derivatives
                              or partial(_difference_quotient, self.fn, at_zero),
-                             theta, at_zero, INF)
+                             theta, self.value_at_zero, at_zero, INF)
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -131,11 +133,11 @@ def _on_distances(fn, theta, *at_zero):
 
 
 def _difference_quotient(fn, at_zero, d):
-    """f' and f'' of ``fn`` at ``d`` > 0, central differences with a step h
-    relative to ``d``, symmetric at pi.  A NaN ``fn`` raises.  f' is -inf
-    where f(d - h) is +inf and ``at_zero`` where h is 0.  f'' is +inf, no
-    Newton step, where f(d - h) - 2f(d) + f(d + h) is at most its rounding,
-    8 eps (|f(d - h)| + 2|f(d)| + |f(d + h)|), as on a linear piece."""
+    """``fn(d)``, f' and f'' at ``d`` > 0, these central differences with a
+    step h relative to ``d``, symmetric at pi.  A NaN ``fn`` raises.  f' is
+    -inf where f(d - h) is +inf and ``at_zero`` where h is 0.  f'' is +inf,
+    no Newton step, where f(d - h) - 2f(d) + f(d + h) is at most its
+    rounding, 8 eps (|f(d - h)| + 2|f(d)| + |f(d + h)|), as on a line."""
     f_lo, f_hi, width = _folded_difference(fn, d, 6e-6)
     f_mid = fn(d)
     slope = (f_hi - f_lo) / width
@@ -145,7 +147,7 @@ def _difference_quotient(fn, at_zero, d):
             raise ValueError("kernel returned NaN")
         slope = np.where(width > 0.0, np.where(f_lo == INF, -INF, slope), at_zero)
     noise = 8.0 * np.finfo(float).eps * (abs(f_lo) + 2.0 * abs(f_mid) + abs(f_hi))
-    return slope, np.where(rise > noise, rise / (0.5 * width) ** 2, INF)
+    return f_mid, slope, np.where(rise > noise, rise / (0.5 * width) ** 2, INF)
 
 
 def _folded_difference(fn, d, step):
@@ -203,8 +205,8 @@ def _theta_where_tiny(theta, chord):
 def _chord_kernel(value: Callable, derivatives: Callable, **fields) -> Kernel:
     """The kernel ``value(c)`` of the chord ``c``.  With ``k = cos(theta/2)``,
     the chord's derivative, and ``-c/4``, the cosine's, ``derivatives(c, k)``
-    is the pair of f' = ``value'(c) k``, by the chain rule, and
-    f'' = ``value''(c) k**2 - value'(c) c/4``, both from one tangent and one
+    is the jet of ``value(c)``, f' = ``value'(c) k``, by the chain rule, and
+    f'' = ``value''(c) k**2 - value'(c) c/4``, all from one tangent and one
     power of the chord."""
     return Kernel(fn=lambda theta: value(_chord(theta)),
                   derivatives=lambda theta: derivatives(*_chord_and_cosine(theta)),
@@ -224,9 +226,10 @@ def riesz_kernel(s: float) -> Kernel:
 
     def derivatives(c, cos):
         # f'' = s c**(-s-2) ((s + 1) cos**2 + c**2 / 4) = s c**(-s-2) (s cos**2 + 1)
-        power = c ** (-s - 1.0)
+        value = c ** -s
+        power = value / c
         slope = -s * cos * power
-        return slope, s * (power - cos * slope) / c
+        return value, slope, s * (power - cos * slope) / c
     return _chord_kernel(lambda c: c ** -s, derivatives,
                          value_at_zero=INF, label=f"riesz:{s:g}")
 
@@ -239,7 +242,7 @@ def log_kernel() -> Kernel:
     """
     def derivatives(c, cos):
         slope = -cos / c
-        return slope, 0.25 + slope * slope
+        return -np.log(c), slope, 0.25 + slope * slope
     return _chord_kernel(lambda c: -np.log(c), derivatives,
                          value_at_zero=INF, label="log")
 
@@ -256,13 +259,15 @@ def power_kernel(alpha: float) -> Kernel:
         raise ValueError(f"power kernel needs alpha in (0, 1], got {alpha}")
 
     def derivatives(c, cos):
-        power = c ** (alpha - 1.0)
+        value = c ** alpha
+        power = value / c
         slope = -alpha * cos * power
         if alpha == 1.0:
             # the cosine's term is 0, and 0 * c**-1 would be NaN where c**-1
             # overflows, at subnormal distances
-            return slope, 0.25 * c
-        return slope, alpha * (power / c) * (0.25 * c * c + (1.0 - alpha) * cos * cos)
+            return -value, slope, 0.25 * c
+        return -value, slope, alpha * (power / c) * (0.25 * c * c
+                                                     + (1.0 - alpha) * cos * cos)
     return _chord_kernel(lambda c: -(c ** alpha), derivatives,
                          value_at_zero=0.0, label=f"power:{alpha:g}")
 
@@ -329,7 +334,8 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
     consecutive grid triples.  Strict convexity is measured, not asked: it
     needs a positive midpoint margin wherever the midpoint value is finite,
     and its failure is left out of ``failures`` and ``ok``.  Declared
-    ``derivatives`` are the ``slope`` check: their f' must be <= 0 and not
+    ``derivatives`` are the ``slope`` check: their f must lie within 1e-12
+    of ``fn``, and equal it where it is +inf; their f' must be <= 0 and not
     NaN, non-decreasing, and within ``SLOPE_TOL`` of the central difference
     of ``fn`` with step ``_SLOPE_STEP * theta``, folded back past pi like
     the distance, and their f'' not NaN, >= 0 and within ``SLOPE_TOL`` of
@@ -369,12 +375,15 @@ def validate_kernel(kernel: Kernel) -> ValidationReport:
             # f' stops at pi: its difference is one-sided there
             lo = theta - _SLOPE_STEP * theta
             hi = np.minimum(theta + _SLOPE_STEP * theta, np.pi)
-            (s, s_lo, s_hi), (d2, _, _) = kernel._slope_and_curvature(
+            (f, _, _), (s, s_lo, s_hi), (d2, _, _) = kernel._jet(
                 np.stack((theta, lo, hi)))
             f_lo, f_hi, width = _folded_difference(kernel.fn, theta, _SLOPE_STEP)
             q, r = (f_hi - f_lo) / width, (s_hi - s_lo) / (hi - lo)
-            columns.update(s=s, q=q, d2=d2, r=r)
+            columns.update(f=f, s=s, q=q, d2=d2, r=r)
             checks["slope"] = [
+                (np.where(np.isinf(f) | np.isinf(v), f != v,
+                          ~(np.abs(f - v) <= _scale_tol(f, v))), 0,
+                 "value {f:.17g} at theta={t:.6g}, where fn gives {v:.17g}"),
                 (np.isnan(s) | (s > 0.0), 0, "slope {s:.6g} at theta={t:.6g}"),
                 (np.concatenate(([False], s[1:] < s[:-1] - _scale_tol(s[:-1], s[1:]))),
                  0, "slope {s:.6g} at theta={t:.6g} is below the one before it"),

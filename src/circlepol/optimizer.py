@@ -192,7 +192,7 @@ def _steps(kernel: Kernel, angles: np.ndarray, results: list, values: list,
 
 def _gradient_rows(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     """grad m_j, one column per gap minimizer ``z``: the negated slope terms."""
-    return -_slope_terms(kernel, nodes, z)[0].T
+    return -_slope_terms(kernel, nodes, z)[1].T
 
 
 def maximize_polarization(

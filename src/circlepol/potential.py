@@ -7,8 +7,8 @@ the geodesic distance is concave inside a gap.  Its derivative therefore
 changes sign once on the gap, so each gap is searched for that sign change
 by safeguarded Newton steps, U'' being the sum of the kernel's f'' >= 0,
 and by secant steps on the true slopes at the bracket's ends where U'' is
-+inf; the global minimum (the polarization of the configuration) is the
-best of the per-gap minima.
++inf, each pass summing U with them; the global minimum (the polarization
+of the configuration) is the best of the per-gap minima.
 """
 
 from __future__ import annotations
@@ -72,10 +72,13 @@ def potential_values(kernel: Kernel, config: Configuration, z) -> np.ndarray:
 
 def _values(kernel: Kernel, nodes: np.ndarray, z: np.ndarray,
             owner: np.ndarray) -> np.ndarray:
-    # the one sum of potentials, so the one place a NaN kernel value is
-    # refused.  A sum past the float range is +inf
+    # a sum past the float range is +inf
     with np.errstate(over="ignore"):
-        values = _row_sums(_potential_sums, kernel, nodes, z, owner)
+        return _refuse_nan(_row_sums(_potential_sums, kernel, nodes, z, owner))
+
+
+def _refuse_nan(values: np.ndarray) -> np.ndarray:
+    # every sum of potentials passes here: the one place a NaN f is refused
     if np.isnan(values).any():
         raise ValueError("kernel returned NaN")
     return values
@@ -113,35 +116,35 @@ def _potential_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndar
 
 
 def _slope_terms(kernel: Kernel, nodes: np.ndarray, z: np.ndarray):
-    """f'(d(z, x)) sign(z - x) for each probe ``z`` (rows) and node ``x``,
-    and f''(d(z, x)), from one :meth:`Kernel._slope_and_curvature` call.
+    """f(d(z, x)), f'(d(z, x)) sign(z - x) and f''(d(z, x)) for each probe
+    ``z`` (rows) and node ``x``, from one :meth:`Kernel._jet` call.
 
-    A row of terms sums to the derivative of the potential at ``z``, and of
-    f'' to its second derivative: +inf, which means no Newton step, at a
+    Rows of f, terms and f'' sum to the potential at ``z`` and its first and
+    second derivatives, the last +inf, which means no Newton step, at a
     node, where f'' overflows and where a difference of ``fn`` is linear.
     The negated terms are the gradient of a gap minimum at ``z`` in the
     node positions (Danskin).  A node at the probe's antipode adds 0 (see
     :meth:`Kernel.derivative`), and so does a node at the probe itself,
     unless the kernel is singular: then the term is NaN.  Raises
-    ``ValueError`` when the kernel yields NaN.
+    ``ValueError`` when f' or f'' is NaN; a NaN f is the caller's to refuse.
     """
     w = _signed_wrap(z[..., None] - nodes)
-    slope, curvature = kernel._slope_and_curvature(np.abs(w))
+    value, slope, curvature = kernel._jet(np.abs(w))
     if np.isnan(slope).any() or np.isnan(curvature).any():
         raise ValueError("kernel derivatives returned NaN")
-    return slope * np.sign(w), curvature
+    return value, slope * np.sign(w), curvature
 
 
 def _slope_sums(kernel: Kernel, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row sums of the slope terms at each probe, stacked over the row sums
-    of their absolute values and over the potential's second derivative,
-    the row sums of f''(d(z, x))."""
-    terms, curvature = _slope_terms(kernel, nodes, z)
+    """Row sums of the slope terms at each probe, stacked over those of their
+    absolute values, of f''(d(z, x)), U'', and of f(d(z, x)), U, which is
+    :func:`_potential_sums`'s bit for bit where f is ``fn``'s."""
+    value, terms, curvature = _slope_terms(kernel, nodes, z)
     slope = terms.sum(axis=-1)
     # np.array builds what np.stack would at a fifth of its fixed cost,
     # which small configurations, with their many tiny passes, pay per pass
     return np.array((slope, np.abs(terms, out=terms).sum(axis=-1),
-                     curvature.sum(axis=-1)))
+                     curvature.sum(axis=-1), value.sum(axis=-1)))
 
 
 def _rounding(n: int, value: float) -> float:
@@ -242,10 +245,11 @@ def _minimize_on_arcs(
     the bracket onto itself.  An arc leaves the active set once its bracket
     is certified or has no float inside, and its argmin is the bracket's
     midpoint, kept inside the open arc so it is no node: for a collapsed
-    bracket, the probe.  Returns the minimizing angles (wrapped to
-    [0, 2*pi)) and the minimum values.  Raises ``ValueError`` when the
-    kernel fails a check of :func:`validate_kernel`, or yields NaN at any
-    evaluated point.
+    bracket, the probe.  An arc whose argmin is its last probe takes U from
+    that pass, the others from a pass of ``fn``.  Returns the minimizing
+    angles (wrapped to [0, 2*pi)) and the minimum values.  Raises
+    ``ValueError`` when the kernel fails a check of
+    :func:`validate_kernel`, or yields NaN at any evaluated point.
     """
     _require_hypotheses(kernel)
     m = starts.size
@@ -255,6 +259,8 @@ def _minimize_on_arcs(
     # as unknown until a probe replaces them
     s_lo, s_hi = np.full(m, -np.inf), np.full(m, np.inf)
     hi_moved = np.zeros(m, dtype=bool)  # which end the last probe replaced
+    # each arc's last probe and U there; NaN for an arc never probed
+    probe, value = np.full(m, np.nan), np.empty(m)
     stalled = np.zeros(m, dtype=bool)  # regula falsi creeps: take the midpoint
     certified = lengths * 2.0 ** -_CERTIFIED_BITS
     # U'' at each arc's last probe, and the length of the step that led
@@ -279,13 +285,13 @@ def _minimize_on_arcs(
                 # last probe, the end it replaced; taken where it lands
                 # strictly inside the bracket and is at most half as long as
                 # the step before
-                last = np.where(hi_moved[live], b, a)
+                last = probe[live]
                 t = last - np.where(hi_moved[live], fb, fa) / bend[live]
                 p = np.where((a < t) & (t < b) & ~halve
                              & (np.abs(t - last) <= 0.5 * moved[live]), t, p)
                 moved[live] = np.abs(p - last)
-            slope, size, curve = _row_sums(_slope_sums, kernel, nodes, p, owner[live])
-            bend[live] = curve
+            slope, size, curve, u = _row_sums(_slope_sums, kernel, nodes, p, owner[live])
+            probe[live], value[live], bend[live] = p, _refuse_nan(u), curve
             flat = np.isnan(slope) | (np.isfinite(size)
                                       & (np.abs(slope) <= _SLOPE_NOISE * size))
             up = slope > 0.0
@@ -299,7 +305,10 @@ def _minimize_on_arcs(
     # be a node: keep it inside wherever the arc has an interior float
     z = np.clip(0.5 * (lo + hi), np.nextafter(starts, ends),
                 np.nextafter(ends, starts))
-    return z % TWO_PI, _values(kernel, nodes, z, owner)
+    rest = np.nonzero(z != probe)[0]
+    if rest.size:
+        value[rest] = _values(kernel, nodes, z[rest], owner[rest])
+    return z % TWO_PI, value
 
 
 def minimum_on_arc(
@@ -367,9 +376,10 @@ def potential_profile(
     """Potential sampled at ``resolution`` equally spaced angles.
 
     Returns an array of shape ``(resolution, 2)`` with columns
-    ``(angle, value)``; the grid starts at angle 0.
+    ``(angle, value)``; the grid starts at angle 0.  Raises ``ValueError``
+    unless ``resolution`` is an integer >= 2.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     zs = TWO_PI * np.arange(resolution) / resolution
     return np.column_stack([zs, potential_values(kernel, config, zs)])

@@ -120,11 +120,11 @@ def min_curve(
     row equal bit for bit to ``minimum_on_arc`` on its stage.  The angles
     are cumulative sums of nonnegative gaps, so no node lies inside the
     tracked arc, and ``minimum_on_arc``'s check of the arc is not repeated.
-    Raises ``ValueError`` when the plan does not fit ``source`` or its gaps
-    are not a circle's.
+    Raises ``ValueError`` when ``grid`` is not an integer >= 2, or the plan
+    does not fit ``source`` or its gaps are not a circle's.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    if not isinstance(grid, (int, np.integer)) or grid < 2:
+        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     if plan.n != source.n:
         raise ValueError("plan size does not match configuration")
     ts = np.linspace(0.0, 1.0, grid)

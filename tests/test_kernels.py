@@ -176,7 +176,7 @@ def test_kernel_slopes_match_mpmath(kind, s):
                             [np.nextafter(math.pi, 0.0)]])
     theta = theta[theta > 0.0]
     got = kernel.derivative(theta)
-    assert np.array_equal(got, kernel.derivatives(theta)[0])
+    assert np.array_equal(got, kernel.derivatives(theta)[1])
     eps = np.finfo(float).eps
     with mpmath.workdps(40):
         for t, g in zip(theta.tolist(), got.tolist()):
@@ -190,7 +190,7 @@ def test_kernel_slopes_match_mpmath(kind, s):
     # at the antipode of a node U' must pass through 0, as the folded
     # difference quotient does
     assert kernel.derivative(math.pi) == 0.0
-    assert kernel.derivatives(np.array([math.pi]))[0][0] == 0.0
+    assert kernel.derivatives(np.array([math.pi]))[1][0] == 0.0
 
 
 @pytest.mark.parametrize("kind, s", [("riesz", 0.5), ("riesz", 2.0), ("riesz", 20.0),
@@ -211,7 +211,7 @@ def test_kernel_curvatures_match_mpmath(kind, s):
                             math.pi - 10.0 ** rng.uniform(-15.0, 0.0, 500),
                             [np.nextafter(math.pi, 0.0), math.pi]])
     theta = theta[theta > 0.0]
-    slope, got = kernel.derivatives(theta)
+    _, slope, got = kernel.derivatives(theta)
     assert np.array_equal(slope, kernel.derivative(theta))
     eps = np.finfo(float).eps
     with mpmath.workdps(40):
@@ -223,6 +223,26 @@ def test_kernel_curvatures_match_mpmath(kind, s):
                      "power": lambda: s * chord ** (s - 2)
                      * (chord ** 2 / 4 + (1 - s) * cos ** 2)}[kind]()
             assert abs(g - exact) <= 4 * eps * (2 + s) * exact, (t, g, exact)
+
+
+@pytest.mark.parametrize("kernel", [
+    *[riesz_kernel(s) for s in (0.5, 2, 20, 400, 1100)], log_kernel(),
+    *[power_kernel(a) for a in (0.01, 0.5, 1.0)],
+], ids=lambda k: k.label)
+def test_the_jet_value_is_fn_bit_for_bit(kernel):
+    # f is computed by fn's own expression, and the lower chord power is
+    # derived from it, so a sum of the jet's f is a sum of fn; the
+    # difference quotient takes f from fn itself.  Past the float range
+    # (riesz:400 near 0) both are +inf, and riesz:1100 is subnormal near pi
+    rng = np.random.default_rng(8)
+    theta = np.concatenate([[0.0, 5e-324, 1e-300, 1e-150, math.pi],
+                            rng.uniform(0.0, math.pi, 1000),
+                            10.0 ** rng.uniform(-15.0, 0.0, 500),
+                            math.pi - 10.0 ** rng.uniform(-15.0, 0.0, 500)])
+    want = kernel.eval(theta)
+    assert np.array_equal(kernel._jet(theta)[0], want)
+    assert np.array_equal(
+        dataclasses.replace(kernel, derivatives=None)._jet(theta)[0], want)
 
 
 def test_derivative_at_zero_and_without_a_slope():
@@ -250,8 +270,8 @@ def test_the_quotient_curvature_follows_the_declared_one(kernel):
     # declared f''; seen at most 5.2e-5, for log next to 0.  Within 1e-3 of
     # pi the folded step straddles pi, where f'' comes from f' = 0
     theta = _GRID[_GRID < math.pi - 1e-3]
-    _, want = kernel._slope_and_curvature(theta)
-    _, got = dataclasses.replace(kernel, derivatives=None)._slope_and_curvature(theta)
+    _, _, want = kernel._jet(theta)
+    _, _, got = dataclasses.replace(kernel, derivatives=None)._jet(theta)
     assert (np.abs(got - want) <= SLOPE_TOL * want).all()
 
 
@@ -262,7 +282,7 @@ def test_the_quotient_curvature_follows_the_declared_one(kernel):
 def test_the_quotient_has_no_curvature_on_a_linear_piece(fn, value_at_zero, finite):
     # a second difference within its rounding is +inf, no Newton step; pi - t
     # folded at pi has a kink there, and a finite f''
-    _, bend = Kernel(fn, value_at_zero)._slope_and_curvature(_GRID)
+    _, _, bend = Kernel(fn, value_at_zero)._jet(_GRID)
     assert _GRID[np.isfinite(bend)].tolist() == finite
     assert (bend > 0.0).all()
 
@@ -419,7 +439,7 @@ def test_arc_search_refuses_a_kernel_that_fails_the_hypotheses():
 @pytest.mark.parametrize("kernel, failed", [
     (Kernel(np.sin, 0.0, label="sin"), ("non_increasing", "convex")),
     (Kernel(lambda t: -(t ** 2), 0.0, label="concave",
-            derivatives=lambda t: (-t, -1.0)),
+            derivatives=lambda t: (-(t ** 2), -t, -1.0)),
      ("convex", "slope")),
 ], ids=lambda x: getattr(x, "label", None))
 def test_the_refusal_names_every_failed_check(kernel, failed):
@@ -466,12 +486,32 @@ def test_a_wrong_slope_is_refused(slope, detail):
     # derivative would bypass the hypotheses checked on fn
     k = riesz_kernel(2)
     wrong = dataclasses.replace(
-        k, derivatives=lambda t: (slope(t), k.derivatives(t)[1]))
+        k, derivatives=lambda t: (k.fn(t), slope(t), k.derivatives(t)[2]))
     report = validate_kernel(wrong)
     assert report.failures == ("slope",)
     with pytest.raises(ValueError, match="slope .*" + detail):
         polarization(wrong, equally_spaced(3))
     assert validate_kernel(dataclasses.replace(wrong, derivatives=None)).ok
+
+
+@pytest.mark.parametrize("kernel, value, fn", [
+    (riesz_kernel(2), lambda f: f * (1.0 + 1e-6), r"[0-9.e+]+"),
+    (log_kernel(), lambda f: f + 1e-6 * np.abs(f), r"[0-9.e+]+"),
+    (power_kernel(0.5), lambda f: f * (1.0 + 1e-6), r"-[0-9.e-]+"),
+    # riesz:400's fn is +inf below distance 0.66: a declared f must be too
+    (riesz_kernel(400), lambda f: np.minimum(f, 1e300), "inf"),
+], ids=["riesz:2", "log", "power:0.5", "riesz:400"])
+def test_a_wrong_value_is_refused(kernel, value, fn):
+    # the engine takes an arc's minimum from the declared f summed at its
+    # last probe, so an f off fn by 1e-6 would move the polarization by as
+    # much; it is refused, naming the check, as a wrong f' is
+    assert validate_kernel(kernel).slope.passed
+    wrong = dataclasses.replace(kernel, derivatives=lambda t: (
+        value(kernel.derivatives(t)[0]), *kernel.derivatives(t)[1:]))
+    assert validate_kernel(wrong).failures == ("slope",)
+    with pytest.raises(ValueError, match=r"fails slope \(value [-0-9.e+]+ at "
+                       r"theta=0\.00306796, where fn gives " + fn + r"\)"):
+        polarization(wrong, equally_spaced(3))
 
 
 @pytest.mark.parametrize("kernel", [
@@ -487,7 +527,7 @@ def test_a_wrong_curvature_is_refused(kernel, factor, detail):
     # size is refused like a wrong f', by every caller of the arc search
     assert validate_kernel(kernel).slope.passed
     wrong = dataclasses.replace(kernel, derivatives=lambda t: tuple(
-        v * w for v, w in zip(kernel.derivatives(t), (1.0, factor))))
+        v * w for v, w in zip(kernel.derivatives(t), (1.0, 1.0, factor))))
     assert validate_kernel(wrong).failures == ("slope",)
     c = Configuration([0.0, 1.0, 2.5])
     plan = solve_transport(c, equally_spaced(3))
@@ -500,7 +540,7 @@ def test_a_wrong_curvature_is_refused(kernel, factor, detail):
 
 def test_a_declared_slope_is_followed():
     k = Kernel(lambda t: (math.pi - t) ** 2, math.pi ** 2,
-               derivatives=lambda t: (2.0 * (t - math.pi), 2.0))
+               derivatives=lambda t: ((math.pi - t) ** 2, 2.0 * (t - math.pi), 2.0))
     assert validate_kernel(k).ok
     c = Configuration([0.0, 1.0, 2.5])
     quotient = dataclasses.replace(k, derivatives=None)

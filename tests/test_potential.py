@@ -1,5 +1,6 @@
 """Potential evaluation and the per-arc minimization engine."""
 
+import contextlib
 import dataclasses
 import math
 import warnings
@@ -271,14 +272,17 @@ def test_result_repr_shows_value_witnesses_and_arcs():
                        f"witnesses={r.witnesses!r}, arcs={r.per_arc_minima!r})")
 
 
+@contextlib.contextmanager
 def _counted(kernel):
     """``kernel`` with a count of the points its function and its
-    derivatives evaluate, keeping those it has or has not.
+    derivatives evaluate, keeping those it has or has not, and of the
+    (probe, node) pairs of the engine's final pass of ``fn`` values, which
+    are among the ``fn`` points.
 
     The arc search checks a kernel's hypotheses once, on first use; that
     check is made here, before counting starts, so only passes are counted.
     """
-    points = {"fn": 0, "derivatives": 0}
+    points = {"fn": 0, "derivatives": 0, "final": 0}
 
     def counting(name, f):
         def call(t):
@@ -287,27 +291,34 @@ def _counted(kernel):
         return call
     counted = dataclasses.replace(kernel, **{
         name: counting(name, getattr(kernel, name))
-        for name in points if getattr(kernel, name) is not None})
+        for name in ("fn", "derivatives") if getattr(kernel, name) is not None})
     assert counted._report.convex.passed
-    points.update(fn=0, derivatives=0)
-    return counted, points
+    values = potential._values
+
+    def final(kernel, nodes, z, owner):
+        points["final"] += z.size * nodes.shape[1]
+        return values(kernel, nodes, z, owner)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(potential, "_values", final)
+        points.update(fn=0, derivatives=0)
+        yield counted, points
 
 
 def _slope_passes(kernel, config):
     """Slope passes ``minimum_on_arc`` spends on each nonempty gap.
 
     A pass evaluates the derivatives once per node, or without them the
-    function three times, at d - h, d and d + h; the final value takes one
-    more.
+    function three times, at d - h, d and d + h; the final value, where
+    the argmin is no probe, is counted apart.
     """
-    counted, points = _counted(kernel)
     passes = []
-    for k, gap in enumerate(config.gaps):
-        if gap > 0.0:
-            points.update(fn=0, derivatives=0)
-            minimum_on_arc(counted, config, config.angles[k], gap)
-            passes.append(points["derivatives"] / config.n
-                          + (points["fn"] / config.n - 1) / 3)
+    with _counted(kernel) as (counted, points):
+        for k, gap in enumerate(config.gaps):
+            if gap > 0.0:
+                points.update(fn=0, derivatives=0, final=0)
+                minimum_on_arc(counted, config, config.angles[k], gap)
+                passes.append((points["derivatives"]
+                               + (points["fn"] - points["final"]) / 3) / config.n)
     return passes
 
 
@@ -456,15 +467,103 @@ def test_equal_spacing_takes_one_slope_pass(kernel, n):
     # cancel to rounding; with n odd a node sits at the antipode of every
     # midpoint, where the slope is 0 and the difference quotient symmetric
     # about pi.  Blocks split a pass into several calls, so the count is of
-    # evaluated points: per (gap, node) pair, one (f', f'') or three values
-    # for the one pass, and one value for the final value
-    counted, points = _counted(kernel)
-    r = polarization(counted, equally_spaced(n))
+    # evaluated points: per (gap, node) pair, one (f, f', f'') or three
+    # values of fn for the one pass.  Every gap ends on that probe, so its
+    # value is the pass's, and no final value is evaluated
+    with _counted(kernel) as (counted, points):
+        r = polarization(counted, equally_spaced(n))
     if kernel.derivatives is None:
-        assert points == {"fn": (3 + 1) * n * n, "derivatives": 0}
+        assert points == {"fn": 3 * n * n, "derivatives": 0, "final": 0}
     else:
-        assert points == {"fn": n * n, "derivatives": n * n}
+        assert points == {"fn": 0, "derivatives": n * n, "final": 0}
     assert len(r.per_arc_minima) == n
+
+
+def _corpus():
+    """Random, equally spaced and flat-Dirichlet(0.05) configurations of
+    1 to 13, 64 and 257 points, by kind."""
+    for n in [*range(1, 14), 64, 257]:
+        rng = np.random.default_rng(n)
+        yield "random", random_config(rng, n)
+        yield "equal", equally_spaced(n)
+        gaps = rng.dirichlet(np.full(n, 0.05))
+        yield "dirichlet", Configuration(TWO_PI * np.cumsum(gaps))
+
+
+def _unwrapped(config, arcs):
+    """Each arc's argmin as the engine evaluates it, from the arc's start
+    on: the angle, or 2 pi past it on the gap that wraps through 0."""
+    start = config.angle_array[arcs["gap"]]
+    return np.where(arcs["angle"] < start, arcs["angle"] + TWO_PI, arcs["angle"])
+
+
+@pytest.mark.parametrize("kernel", _each_path(_SMOOTH_KERNELS + [power_kernel(1.0)]))
+def test_each_arc_value_is_the_potential_at_its_argmin(kernel):
+    # an arc takes U from the slope pass at its last probe, or else from fn;
+    # the shipped kernels' jet gives fn's f bit for bit, so either is
+    # potential_values at the argmin, where the engine evaluates it
+    for _, c in _corpus():
+        arcs = polarization(kernel, c).arcs
+        assert np.array_equal(arcs["value"],
+                              potential_values(kernel, c, _unwrapped(c, arcs)))
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(2), log_kernel()],
+                         ids=lambda k: k.label)
+def test_polarization_takes_no_value_of_fn_for_smooth_kernels(kernel):
+    # every arc of a random or an equally spaced configuration ends on its
+    # last probe, so fn is never called.  Among the Dirichlet gaps, a few
+    # ulps wide, some end on an earlier probe or are never probed: those
+    # alone take fn, in the final pass
+    with _counted(kernel) as (counted, points):
+        for kind, c in _corpus():
+            points.update(fn=0, final=0)
+            polarization(counted, c)
+            if kind == "dirichlet":
+                assert points["fn"] == points["final"]
+            else:
+                assert points["fn"] == 0
+
+
+@pytest.mark.parametrize("kernel", _each_path(_HARD_KERNELS + [power_kernel(1.0)]))
+def test_an_arc_ends_on_its_last_probe_or_takes_fn(kernel, monkeypatch):
+    # the probes of each pass and the points of the final pass, recorded:
+    # an arc takes its value from fn exactly where its argmin is not its
+    # last probe, as on a certified bracket.  pi - t and power:1 certify
+    # most arcs whose minimum is at a kink
+    probes, finals = [], []
+    slope_sums, values = potential._slope_sums, potential._values
+
+    def probed(kernel, nodes, z):
+        probes.append(z.copy())
+        return slope_sums(kernel, nodes, z)
+
+    def final(kernel, nodes, z, owner):
+        finals.append(z.copy())
+        return values(kernel, nodes, z, owner)
+    monkeypatch.setattr(potential, "_slope_sums", probed)
+    monkeypatch.setattr(potential, "_values", final)
+    taken = 0
+    for _, c in _corpus():
+        probes.clear()
+        finals.clear()
+        arcs = polarization(kernel, c).arcs
+        z = _unwrapped(c, arcs)
+        start = c.angle_array[arcs["gap"]]
+        end = start + np.array(c.gaps)[arcs["gap"]]
+        p = np.concatenate(probes or [np.empty(0)])
+        # an arc's probes lie inside it; its last is the last recorded
+        last = np.full(len(arcs), np.nan)
+        for i, (a, b) in enumerate(zip(start, end)):
+            inside = p[(a < p) & (p < b)]
+            if inside.size:
+                last[i] = inside[-1]
+        ends_on_probe = z == last
+        assert sorted(np.concatenate(finals or [np.empty(0)]).tolist()) == sorted(
+            z[~ends_on_probe].tolist())
+        taken += int((~ends_on_probe).sum())
+    if kernel.label in ("pi - t", "power:1"):
+        assert taken > 200
 
 
 @pytest.mark.parametrize("kernel", _each_path(_HARD_KERNELS))
@@ -548,20 +647,28 @@ def test_nan_met_only_by_refinement_raises():
 
 
 def test_nan_met_only_where_potentials_are_summed_raises():
-    # fn is NaN within 1e-6 of distance pi/3, off the validator's grid, and
-    # the declared derivatives are clear of it: the one check on summed
-    # potentials catches it, at the argmin of each gap and at a probe
+    # f is NaN within 1e-6 of distance pi/3, off the validator's grid, and
+    # f' and f'' are clear of it.  The one check on summed potentials
+    # refuses it: as the jet's f, summed at the first probe of each gap of
+    # equally spaced 3, at distance pi/3 from two nodes, and as fn, summed
+    # by potential_values and the profile, or taken for the difference
+    # quotient's second difference
     k = riesz_kernel(2)
-    ring = dataclasses.replace(k, fn=lambda t: np.where(
-        np.abs(t - math.pi / 3) < 1e-6, np.nan, k.fn(t)))
-    assert validate_kernel(ring).ok
+
+    def ring(t, f):
+        return np.where(np.abs(t - math.pi / 3) < 1e-6, np.nan, f)
+    jet = dataclasses.replace(k, derivatives=lambda t: (
+        ring(t, k.derivatives(t)[0]), *k.derivatives(t)[1:]))
+    fn = dataclasses.replace(k, fn=lambda t: ring(t, k.fn(t)))
+    assert validate_kernel(jet).ok and validate_kernel(fn).ok
     c = equally_spaced(3)
-    with pytest.raises(ValueError, match="^kernel returned NaN$"):
-        polarization(ring, c)
-    with pytest.raises(ValueError, match="^kernel returned NaN$"):
-        potential_values(ring, c, math.pi / 3)
-    with pytest.raises(ValueError, match="^kernel returned NaN$"):
-        potential_profile(ring, c, 6)
+    for search in (lambda: polarization(jet, c),
+                   lambda: minimum_on_arc(jet, c, 0.0, c.gaps[0]),
+                   lambda: polarization(dataclasses.replace(fn, derivatives=None), c),
+                   lambda: potential_values(fn, c, math.pi / 3),
+                   lambda: potential_profile(fn, c, 6)):
+        with pytest.raises(ValueError, match="^kernel returned NaN$"):
+            search()
 
 
 @pytest.mark.parametrize("z", [[math.nan, 1.0], [math.inf], [0.5, -math.inf]])
@@ -592,16 +699,16 @@ def test_nan_met_only_by_a_declared_slope_raises():
 
     def ring(i):
         def derivatives(t):
-            pair = list(k.derivatives(t))
-            pair[i] = np.where(np.abs(t - 0.5) < 1e-6, np.nan, pair[i])
-            return tuple(pair)
+            jet = list(k.derivatives(t))
+            jet[i] = np.where(np.abs(t - 0.5) < 1e-6, np.nan, jet[i])
+            return tuple(jet)
         return dataclasses.replace(k, derivatives=derivatives)
-    for bad in (ring(0), ring(1)):
+    for bad in (ring(1), ring(2)):
         assert validate_kernel(bad).ok
         with pytest.raises(ValueError, match="^kernel derivatives returned NaN$"):
             minimum_on_arc(bad, Configuration([0.0, 1.0]), 0.0, 1.0)
     with pytest.raises(ValueError, match="^kernel derivatives returned NaN$"):
-        ring(0).derivative(0.5)
+        ring(1).derivative(0.5)
 
 
 def test_polarization_value_is_min_of_per_arc():
@@ -662,6 +769,21 @@ def test_profile_shape_and_known_row():
     assert rows[3, 1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         potential_profile(riesz_kernel(2), equally_spaced(2), 1)
+
+
+@pytest.mark.parametrize("resolution", [2.5, 4.0, "4", 1, np.int64(1)])
+def test_profile_refuses_a_resolution_that_is_no_integer_above_one(resolution):
+    # 2.5 angles spaced 2 pi / 2.5 apart would not be equally spaced around
+    # the circle: three of them are 0, 2.51 and 5.03
+    with pytest.raises(ValueError, match=r"^resolution must be an integer >= 2, got "):
+        potential_profile(riesz_kernel(2), equally_spaced(2), resolution)
+
+
+def test_profile_takes_a_numpy_integer_resolution():
+    want = potential_profile(riesz_kernel(2), equally_spaced(3), 6)
+    for resolution in (np.int64(6), np.int32(6), np.uint8(6)):
+        assert np.array_equal(
+            potential_profile(riesz_kernel(2), equally_spaced(3), resolution), want)
 
 
 def test_profile_minimum_consistent_with_polarization():

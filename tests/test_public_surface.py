@@ -46,16 +46,17 @@ def test_kernels_and_configurations_have_one_spelling_per_operation():
 
 
 def test_a_kernel_has_one_derivatives_field():
-    # f' and f'' come from one callable: a second field for either would
-    # let a kernel state f' twice, or declare one without the other
+    # the jet (f, f', f'') comes from one callable: a field for f' or f''
+    # alone would let a kernel state f' twice, or declare one without the other
     fields = [f.name for f in dataclasses.fields(circlepol.Kernel) if f.init]
     assert fields == ["fn", "value_at_zero", "label", "derivatives"]
 
 
 def test_derivatives_are_read_in_one_method_and_the_validator():
-    # every pass takes (f', f'') from Kernel._slope_and_curvature, which
-    # gives a kernel without derivatives a difference quotient and f'' =
-    # +inf; a read anywhere else would fork the evaluation path again
+    # every pass takes (f, f', f'') from Kernel._jet, which gives a kernel
+    # without derivatives fn and its differences, and f'' = +inf where the
+    # second difference is rounding; a read anywhere else would fork the
+    # evaluation path again
     reads = []
 
     def visit(node, scope):
@@ -69,5 +70,5 @@ def test_derivatives_are_read_in_one_method_and_the_validator():
 
     for path in sorted(pathlib.Path(circlepol.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
-    assert sorted(reads) == ["kernels.Kernel._slope_and_curvature",
+    assert sorted(reads) == ["kernels.Kernel._jet",
                              "kernels.validate_kernel"]

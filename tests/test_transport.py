@@ -167,6 +167,23 @@ def test_min_curve_worked_example_monotone_to_endpoint():
         min_curve(riesz_kernel(2), src, plan, 1)
 
 
+@pytest.mark.parametrize("grid", [3.5, 5.0, "5", 1, np.int64(1)])
+def test_min_curve_refuses_a_grid_that_is_no_integer_above_one(grid):
+    # 3.5 once reached numpy's TypeError from linspace
+    src = config_from_gaps([math.pi, math.pi / 2, math.pi / 2])
+    plan = solve_transport(src, equally_spaced(3))
+    with pytest.raises(ValueError, match=r"^grid must be an integer >= 2, got "):
+        min_curve(riesz_kernel(2), src, plan, grid)
+
+
+def test_min_curve_takes_a_numpy_integer_grid():
+    src = config_from_gaps([math.pi, math.pi / 2, math.pi / 2])
+    plan = solve_transport(src, equally_spaced(3))
+    want = min_curve(riesz_kernel(2), src, plan, 5)
+    for grid in (np.int64(5), np.int32(5), np.uint8(5)):
+        assert np.array_equal(min_curve(riesz_kernel(2), src, plan, grid), want)
+
+
 def test_min_curve_start_bounds_polarization():
     rng = np.random.default_rng(27)
     k = riesz_kernel(2)
